@@ -9,14 +9,12 @@ are recorded per grid point instead of raised.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
-from .dynamics import map_derivative
+from .dynamics import _states, _trajectory
 from .errors import ArgumentError, DomainError, EscapeError
-from .model import TrafficParams, TrafficState, flow_of_density, state_of_density
+from .model import TrafficParams, TrafficState
 
 SINK = "hyperbolic-sink"
 SOURCE = "hyperbolic-source"
@@ -27,8 +25,6 @@ DEGENERATE = "degenerate"
 # land on the map maximum kj/e where f' = 0, so they are skipped and counted.
 SINGULARITY_FLOOR = 1e-300
 
-THREADS_ENV_VAR = "GREENBERG_DYN_THREADS"
-
 DEFAULT_SCAN_K0 = 0.25
 DEFAULT_SCAN_TOTAL = 300
 DEFAULT_SCAN_KEEP = 60
@@ -36,8 +32,6 @@ DEFAULT_PERIOD_TOLERANCE = 1e-6
 DEFAULT_MAX_PERIOD = 64
 DEFAULT_LYAPUNOV_TERMS = 10_000
 DEFAULT_LYAPUNOV_TRANSIENT = 1_000
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -181,32 +175,6 @@ def detect_period(
     return None
 
 
-def _sweep_workers() -> int:
-    """Worker cap for sweeps from the environment; 0 means auto.
-
-    Auto resolves to 1: grid points are pure Python computation, so extra
-    threads only add overhead. Explicit values still get a real pool, which
-    keeps the setting testable.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ArgumentError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ArgumentError(f"{THREADS_ENV_VAR} must be non-negative, got {cap}")
-    return cap if cap > 0 else 1
-
-
-def _map_ordered(fn: Callable[[float], _T], grid: Sequence[float]) -> list[_T]:
-    """Apply fn over the grid, assembling results in grid order."""
-    workers = _sweep_workers()
-    if workers == 1 or len(grid) <= 1:
-        return [fn(v) for v in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, grid))
-
-
 def _parameter_grid(v0_min: float, v0_max: float, steps: int) -> list[float]:
     if not (0.0 < v0_min <= v0_max):
         raise ArgumentError(f"need 0 < v0_min <= v0_max, got [{v0_min}, {v0_max}]")
@@ -229,22 +197,17 @@ def _parameter_grid(v0_min: float, v0_max: float, steps: int) -> list[float]:
 
 def _attractor_tail(
     p: TrafficParams, k0: float, n_total: int, n_keep: int
-) -> tuple[list[float], bool]:
-    """Iterate n_total steps and keep the last n_keep densities.
+) -> tuple[list[float], list[float], bool]:
+    """Iterate n_total steps and keep the last n_keep densities (1 <= n_keep < n_total).
 
-    Returns the retained densities (fewer on escape) and an escape flag.
+    Returns the retained densities (fewer on escape), their ratios
+    ln(kj / k) and an escape flag.
     """
     if not (0.0 < k0 < p.kj):
         raise DomainError(f"scan initial density must lie in (0, {p.kj}), got {k0}")
-    k = k0
-    tail: list[float] = []
-    for i in range(n_total):
-        k = flow_of_density(k, p)
-        if not (0.0 < k <= p.kj):
-            return tail, True
-        if i >= n_total - n_keep:
-            tail.append(k)
-    return tail, False
+    densities, ratios, escaped = _trajectory(k0, p, n_total)
+    first = n_total - n_keep + 1
+    return densities[first:], ratios[first:], escaped is not None
 
 
 def bifurcation_scan(
@@ -273,15 +236,14 @@ def bifurcation_scan(
     def scan_point(v0: float) -> tuple[float, tuple[TrafficState, ...], int | None, bool]:
         p = TrafficParams(v0=v0)
         start = k0_of(v0)
-        tail, escaped = _attractor_tail(p, start, n_total, n_keep)
+        tail, ratios, escaped = _attractor_tail(p, start, n_total, n_keep)
         effective_max = min(max_period, len(tail) // 2)
         period = (
             detect_period(tail, tolerance, effective_max) if effective_max >= 1 else None
         )
-        states = tuple(state_of_density(k, p) for k in tail)
-        return start, states, period, escaped
+        return start, _states(tail, ratios, p), period, escaped
 
-    results = _map_ordered(scan_point, grid)
+    results = [scan_point(v0) for v0 in grid]
     return BifurcationScan(
         v0_grid=tuple(grid),
         k0_values=tuple(r[0] for r in results),
@@ -310,27 +272,25 @@ def _lyapunov_terms(
     """
     if not (0.0 < k0 < p.kj):
         raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
-    k = k0
-    for i in range(n_transient):
-        k = flow_of_density(k, p)
-        if not (0.0 < k <= p.kj):
+    densities, ratios, escaped = _trajectory(k0, p, n_transient + n - 1)
+    if escaped is not None:
+        index = len(densities)
+        if index <= n_transient:
             raise EscapeError(
-                f"orbit left (0, {p.kj}] during transient step {i + 1} at v0={p.v0}"
+                f"orbit left (0, {p.kj}] during transient step {index} at v0={p.v0}"
             )
+        raise EscapeError(
+            f"orbit left (0, {p.kj}] after {index - n_transient} averaged terms at v0={p.v0}"
+        )
+    v0, log = p.v0, math.log
     acc = 0.0
     skipped = 0
-    for j in range(n):
-        slope = map_derivative(k, p)
-        if abs(slope) < SINGULARITY_FLOOR:
+    for ratio in ratios[n_transient:]:
+        slope_size = abs(v0 * (ratio - 1.0))
+        if slope_size < SINGULARITY_FLOOR:
             skipped += 1
         else:
-            acc += math.log(abs(slope))
-        if j < n - 1:
-            k = flow_of_density(k, p)
-            if not (0.0 < k <= p.kj):
-                raise EscapeError(
-                    f"orbit left (0, {p.kj}] after {j + 1} averaged terms at v0={p.v0}"
-                )
+            acc += log(slope_size)
     used = n - skipped
     if used == 0:
         return -math.inf, 0, skipped
@@ -380,7 +340,7 @@ def lyapunov_curve(
             return None, used, skipped
         return estimate, used, skipped
 
-    results = _map_ordered(curve_point, grid)
+    results = [curve_point(v0) for v0 in grid]
     return LyapunovCurve(
         v0_grid=tuple(grid),
         lambdas=tuple(r[0] for r in results),

@@ -1,8 +1,11 @@
 """Discrete iteration of the flow-density map and orbit-level experiments.
 
 The advance rule identifies the next density with the current flow:
-k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built, so
-independent orbits can be generated concurrently without shared state.
+k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built. Every
+map loop in the package, here and in the analysis sweeps, runs through
+``_trajectory``: it checks the domain once and takes one logarithm per step,
+from which each caller derives the flow v0 * k * ln(kj / k), the velocity
+v0 * ln(kj / k) and the slope v0 * (ln(kj / k) - 1).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError, EscapeWarning
-from .model import TrafficParams, TrafficState, flow_of_density, state_of_density
+from .model import TrafficParams, TrafficState
 
 DEFAULT_ITERATIONS = 300
 DEFAULT_SENSITIVITY_DELTA = 1e-3
@@ -50,6 +53,43 @@ class SensitivityResult:
     first_divergence_index: int | None
 
 
+def _trajectory(
+    k: float, p: TrafficParams, n: int
+) -> tuple[list[float], list[float], float | None]:
+    """Up to n map steps from density k in (0, kj], the domain checked once here.
+
+    Returns the in-domain densities k_0, k_1, ..., the ratio ln(kj / k_i) of
+    each (the same length), and the first successor that left (0, kj], or
+    None when all n steps stayed inside. On escape the densities stop just
+    before the escaped iterate, whose index is their length.
+    """
+    if not (0.0 < k <= p.kj):
+        raise DomainError(f"density must lie in (0, {p.kj}], got {k}")
+    v0, kj, log = p.v0, p.kj, math.log
+    densities = [k]
+    ratios: list[float] = []
+    for _ in range(n):
+        ratio = log(kj / k)
+        ratios.append(ratio)
+        k = v0 * k * ratio
+        if not (0.0 < k <= kj):
+            return densities, ratios, k
+        densities.append(k)
+    ratios.append(log(kj / k))
+    return densities, ratios, None
+
+
+def _states(
+    densities: list[float], ratios: list[float], p: TrafficParams
+) -> tuple[TrafficState, ...]:
+    """Diagram states from densities and their ratios ln(kj / k)."""
+    v0 = p.v0
+    return tuple(
+        TrafficState(k=k, q=v0 * k * ratio, v=v0 * ratio)
+        for k, ratio in zip(densities, ratios)
+    )
+
+
 def step(k: float, p: TrafficParams) -> TrafficState:
     """One map application: the successor state at density v0 * k * ln(kj / k).
 
@@ -57,14 +97,12 @@ def step(k: float, p: TrafficParams) -> TrafficState:
     boundary 0 keeps its limit values (q = 0, unbounded v), an overshoot past
     kj carries no flow/velocity.
     """
-    if not (0.0 < k <= p.kj):
-        raise DomainError(f"density must lie in (0, {p.kj}], got {k}")
-    nxt = flow_of_density(k, p)
-    if nxt == 0.0:
+    densities, ratios, escaped = _trajectory(k, p, 1)
+    if escaped is None:
+        return _states(densities, ratios, p)[-1]
+    if escaped == 0.0:
         return TrafficState(k=0.0, q=0.0, v=math.inf, escaped=True)
-    if nxt > p.kj:
-        return TrafficState(k=nxt, q=math.nan, v=math.nan, escaped=True)
-    return state_of_density(nxt, p)
+    return TrafficState(k=escaped, q=math.nan, v=math.nan, escaped=True)
 
 
 def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
@@ -77,20 +115,17 @@ def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
         raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
     if n < 1:
         raise ArgumentError(f"need at least one iteration, got {n}")
-    states = [state_of_density(k0, p)]
+    densities, ratios, escaped_k = _trajectory(k0, p, n)
     escaped: int | None = None
-    for i in range(n):
-        nxt = step(states[-1].k, p)
-        if nxt.escaped:
-            escaped = i + 1
-            warnings.warn(
-                f"orbit left (0, {p.kj}] at iterate {escaped} (density {nxt.k})",
-                EscapeWarning,
-                stacklevel=2,
-            )
-            break
-        states.append(nxt)
-    return Orbit(params=p, k0=k0, n=n, states=tuple(states), escaped=escaped)
+    if escaped_k is not None:
+        escaped = len(densities)
+        warnings.warn(
+            f"orbit left (0, {p.kj}] at iterate {escaped} (density {escaped_k})",
+            EscapeWarning,
+            stacklevel=2,
+        )
+    states = _states(densities, ratios, p)
+    return Orbit(params=p, k0=k0, n=n, states=states, escaped=escaped)
 
 
 def velocity_sequence(orbit: Orbit) -> tuple[float, ...]:

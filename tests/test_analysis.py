@@ -234,6 +234,17 @@ class TestLyapunovExponent:
         lam = lyapunov_exponent(TrafficParams(v0=1.25), 0.1, n=2000, n_transient=500)
         assert abs(lam - math.log(0.25)) < 1e-2
 
+    def test_sink_estimate_matches_closed_form(self):
+        # on a sink every averaged term is ln|f'(k*)| = ln|1 - v0|
+        for i in range(75):
+            v0 = 0.1 + i * (1.95 - 0.1) / 74
+            if abs(v0 - 1.0) < 0.05:
+                continue
+            exact = math.log(abs(1.0 - v0))
+            for k0 in (0.01, 0.25, 0.99):
+                lam = lyapunov_exponent(TrafficParams(v0=v0), k0)
+                assert lam == pytest.approx(exact, rel=1e-9), (v0, k0)
+
     def test_superstable_parameter_diverges(self):
         # at v0 = 1 the fixed point sits exactly on the map maximum
         lam = lyapunov_exponent(TrafficParams(v0=1.0), 0.25, n=1000, n_transient=500)
@@ -279,17 +290,11 @@ class TestLyapunovCurve:
         for used, skipped in zip(curve.n_terms, curve.skipped_terms):
             assert used == 1000 - skipped
 
-    def test_deterministic_and_thread_invariant(self, monkeypatch):
-        baseline = lyapunov_curve(0.6, 1.4, 4, n=1000, n_transient=200)
-        monkeypatch.setenv("GREENBERG_DYN_THREADS", "3")
-        threaded = lyapunov_curve(0.6, 1.4, 4, n=1000, n_transient=200)
-        assert baseline.lambdas == threaded.lambdas
-        assert baseline.v0_grid == threaded.v0_grid
-
-    def test_rejects_bad_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("GREENBERG_DYN_THREADS", "many")
-        with pytest.raises(ArgumentError):
-            lyapunov_curve(0.6, 1.4, 3, n=1000, n_transient=200)
+    def test_deterministic(self):
+        first = lyapunov_curve(0.6, 1.4, 4, n=1000, n_transient=200)
+        second = lyapunov_curve(0.6, 1.4, 4, n=1000, n_transient=200)
+        assert first.lambdas == second.lambdas
+        assert first.v0_grid == second.v0_grid
 
     def test_rejects_grid_beyond_the_invariance_bound(self):
         with pytest.raises(ArgumentError):

@@ -132,14 +132,6 @@ class TestBifurcationCommand:
         )
         assert code == 3
 
-    def test_bad_thread_cap_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GREENBERG_DYN_THREADS", "lots")
-        code = run_cli(
-            "bifurcation", "--v0-min", "2.2", "--v0-max", "2.3", "--steps", "3",
-            "--n", "100", "--keep", "10", "--out", str(tmp_path),
-        )
-        assert code == 3
-
 
 class TestLyapunovCommand:
     def test_writes_curve_artifacts(self, tmp_path):
