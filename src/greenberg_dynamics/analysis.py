@@ -100,7 +100,11 @@ class LyapunovCurve:
 
 
 def fixed_point(p: TrafficParams) -> float:
-    """The positive fixed point kj * exp(-1 / v0) of the flow-density map."""
+    """The fixed point kj * exp(-1 / v0) of the flow-density map, for v0 > 0.
+
+    It is positive in exact arithmetic, but the float result underflows to
+    0.0 once 1 / v0 exceeds about 745 (v0 below about 1/745 for kj = 1).
+    """
     if not (p.v0 > 0.0):
         raise DomainError(
             f"no positive fixed point for v0 = {p.v0}; the map collapses to 0"
@@ -116,7 +120,8 @@ def classify_fixed_point(p: TrafficParams) -> FixedPointReport:
     degenerate rather than classified by the multiplier test. The
     exponential-stability flag is v0 < 1, the range in which
     exponential_stability_check issues a decay certificate for orbits from
-    (0, kj).
+    (0, kj). A v0 > 0 whose fixed point underflows to 0.0 raises
+    DomainError: 0 is no fixed point with multiplier 1 - v0.
     """
     multiplier = 1.0 - p.v0
     if p.v0 == 0.0:
@@ -124,6 +129,11 @@ def classify_fixed_point(p: TrafficParams) -> FixedPointReport:
         classification = DEGENERATE
     else:
         k_star = fixed_point(p)
+        if k_star == 0.0:
+            raise DomainError(
+                f"fixed point kj * exp(-1 / v0) underflows to 0 for v0 = {p.v0}; "
+                "it cannot be classified"
+            )
         if p.v0 == 2.0:
             classification = CENTER
         elif p.v0 < 2.0:

@@ -4,6 +4,12 @@ Numbers in CSV files carry 17 significant digits so every double round-trips
 exactly; JSON uses the shortest exact representation. SVG output is plain
 text with no external dependencies, and identical payload + spec pairs
 always produce byte-identical documents.
+
+Every document is built whole in memory and written in one call. The cost
+is per value, so each value is formatted by as few calls as possible: one
+%-format per CSV row and per SVG dot, the shared v0 prefix of a bifurcation
+point formatted once, and every JSON array of numbers encoded by json's C
+encoder in one call (``_json_text``).
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .analysis import BifurcationScan, LyapunovCurve, fixed_point
@@ -65,10 +72,6 @@ class PlotSpec:
     y_field: str = "k"
 
 
-def _fmt17(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _sink(destination):
     if hasattr(destination, "write"):
         return nullcontext(destination)
@@ -76,56 +79,58 @@ def _sink(destination):
 
 
 def _orbit_rows(orbit: Orbit) -> tuple[str, list[str]]:
-    rows = []
     last = len(orbit.states) - 1
-    for i, s in enumerate(orbit.states):
-        flag = ""
-        if i == last:
-            flag = "1" if orbit.escaped is not None else "0"
-        rows.append(f"{i},{_fmt17(s.k)},{_fmt17(s.q)},{_fmt17(s.v)},{flag}")
+    flag = "1" if orbit.escaped is not None else "0"
+    rows = [
+        "%d,%.17g,%.17g,%.17g,%s\n" % (i, s.k, s.q, s.v, flag if i == last else "")
+        for i, s in enumerate(orbit.states)
+    ]
     return "i,k,q,v,escaped", rows
 
 
 def _diagram_rows(payload: DiagramPayload) -> tuple[str, list[str]]:
-    rows = [f"{_fmt17(s.k)},{_fmt17(s.q)},{_fmt17(s.v)}" for s in payload.samples]
+    rows = ["%.17g,%.17g,%.17g\n" % (s.k, s.q, s.v) for s in payload.samples]
     return "k,q,v", rows
 
 
 def _scan_rows(scan: BifurcationScan) -> tuple[str, list[str]]:
     rows = []
     for v0, states, period in zip(scan.v0_grid, scan.samples, scan.detected_periods):
-        period_field = APERIODIC_CSV_MARKER if period is None else period
-        for j, s in enumerate(states):
-            rows.append(
-                f"{_fmt17(v0)},{j},{_fmt17(s.k)},{_fmt17(s.q)},{_fmt17(s.v)},{period_field}"
-            )
+        # The v0 prefix and the period suffix are shared by every sample of a point.
+        prefix = "%.17g," % v0
+        suffix = ",%d\n" % (APERIODIC_CSV_MARKER if period is None else period)
+        rows.extend(
+            "%s%d,%.17g,%.17g,%.17g%s" % (prefix, j, s.k, s.q, s.v, suffix)
+            for j, s in enumerate(states)
+        )
     return "v0,sample_index,k,q,v,detected_period", rows
 
 
 def _curve_rows(curve: LyapunovCurve) -> tuple[str, list[str]]:
-    rows = []
-    for v0, lam, terms, skipped in zip(
-        curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms
-    ):
-        lam_field = "" if lam is None else _fmt17(lam)
-        rows.append(f"{_fmt17(v0)},{lam_field},{terms},{skipped}")
+    rows = [
+        "%.17g,,%d,%d\n" % (v0, terms, skipped)
+        if lam is None
+        else "%.17g,%.17g,%d,%d\n" % (v0, lam, terms, skipped)
+        for v0, lam, terms, skipped in zip(
+            curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms
+        )
+    ]
     return "v0,lambda,n_terms,skipped_terms", rows
 
 
 def _sensitivity_rows(result: SensitivityResult) -> tuple[str, list[str]]:
-    rows = []
-    for i, sep in enumerate(result.separation):
-        ka = result.orbit_a.states[i].k
-        kb = result.orbit_b.states[i].k
-        rows.append(f"{i},{_fmt17(ka)},{_fmt17(kb)},{_fmt17(sep)}")
+    a, b = result.orbit_a.states, result.orbit_b.states
+    rows = [
+        "%d,%.17g,%.17g,%.17g\n" % (i, a[i].k, b[i].k, sep)
+        for i, sep in enumerate(result.separation)
+    ]
     return "i,k_a,k_b,separation", rows
 
 
 def write_csv(payload, destination) -> int:
     """Write one CSV document for the payload; returns the data row count.
 
-    Rows are always written whole: each line is fully built before it
-    reaches the sink.
+    The document is built whole and written in one call.
     """
     if isinstance(payload, Orbit):
         header, rows = _orbit_rows(payload)
@@ -140,9 +145,7 @@ def write_csv(payload, destination) -> int:
     else:
         raise SpecError(f"no CSV schema for payload type {type(payload).__name__}")
     with _sink(destination) as out:
-        out.write(header + "\n")
-        for row in rows:
-            out.write(row + "\n")
+        out.write(header + "\n" + "".join(rows))
     return len(rows)
 
 
@@ -272,6 +275,39 @@ def _sensitivity_document(result: SensitivityResult) -> dict:
     }
 
 
+def _json_text(obj, depth: int) -> str:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False)`` nested ``depth`` deep.
+
+    json ignores its C encoder once ``indent`` is set. Here dicts (with str
+    keys) and lists holding containers or strings are walked in Python,
+    while a list of numbers, bools and None goes to the C encoder in one
+    call; with no string inside, every ", " in that text is a separator and
+    becomes the indented line break. NaN and infinities raise ValueError.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(obj, dict):
+        items = [
+            json.dumps(key) + ": " + _json_text(value, depth + 1)
+            for key, value in obj.items()
+        ]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        if any(isinstance(x, (str, list, tuple, dict)) for x in obj):
+            items = [_json_text(x, depth + 1) for x in obj]
+        else:
+            flat = json.dumps(obj, allow_nan=False)[1:-1]
+            items = [flat.replace(", ", "," + inner)] if obj else []
+        brackets = "[]"
+    else:
+        return json.dumps(obj, allow_nan=False)
+    if not items:
+        return brackets
+    return (
+        brackets[0] + inner + ("," + inner).join(items)
+        + "\n" + "  " * depth + brackets[1]
+    )
+
+
 def write_json(payload, destination) -> int:
     """Write one JSON document for the payload; returns the byte count."""
     if isinstance(payload, Orbit):
@@ -286,10 +322,11 @@ def write_json(payload, destination) -> int:
         doc = _sensitivity_document(payload)
     else:
         raise SpecError(f"no JSON schema for payload type {type(payload).__name__}")
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    text = _json_text(doc, 0) + "\n"
     with _sink(destination) as out:
         out.write(text)
-    return len(text.encode("utf-8"))
+    # json escapes every non-ASCII character, so characters are bytes.
+    return len(text)
 
 
 def _escape_xml(text: str) -> str:
@@ -344,11 +381,19 @@ class _Panel:
         )
 
     def dots(self, points, color, radius=2.0):
-        for x, y in points:
-            self.elements.append(
-                f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" '
-                f'r="{radius}" fill="{color}"/>'
-            )
+        self.elements.extend(
+            '<circle cx="%.2f" cy="%.2f" r="%s" fill="%s"/>'
+            % (self.px(x), self.py(y), radius, color)
+            for x, y in points
+        )
+
+    def column(self, x, ys, color, radius):
+        """Dots sharing the abscissa x: cx is formatted once, each dot by one %-format."""
+        dot = '<circle cx="%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (self.px(x), radius, color)
+        # py(y) inlined with its operation order kept, so every cy rounds the same
+        base, span = self.top + self.height, self.y1 - self.y0
+        y0, height = self.y0, self.height
+        self.elements.extend(dot % (base - (y - y0) / span * height) for y in ys)
 
     def hline(self, y, color, dash="4 3", width=1.0):
         if not (self.y0 <= y <= self.y1):
@@ -502,19 +547,18 @@ def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
 def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     if spec.y_field not in ("k", "q", "v"):
         raise SpecError(f"bifurcation y_field must be k, q or v, got {spec.y_field!r}")
-    points = []
-    for v0, states in zip(scan.v0_grid, scan.samples):
-        for s in states:
-            points.append((v0, getattr(s, spec.y_field)))
+    ordinate = attrgetter(spec.y_field)
+    columns = [list(map(ordinate, states)) for states in scan.samples]
     slots = list(_panel_slots(spec, 1))
     x_range = _auto_range(list(scan.v0_grid), pad=0.02)
-    y_range = _auto_range([y for _, y in points])
+    y_range = _auto_range([y for ys in columns for y in ys])
     panel = _make_panel(
         spec, slots[0], x_range, y_range, "optimum velocity v0", spec.y_field, 0
     )
     if spec.show_threshold:
         panel.vline(2.0, _PATH_COLOR)
-    panel.dots(points, _CURVE_COLOR, radius=0.7)
+    for v0, ys in zip(scan.v0_grid, columns):
+        panel.column(v0, ys, _CURVE_COLOR, radius=0.7)
     return [panel]
 
 

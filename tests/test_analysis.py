@@ -114,6 +114,19 @@ class TestClassifyFixedPoint:
         assert report.classification == SINK
         assert report.exponentially_stable is True
 
+    def test_underflowing_fixed_point_is_not_classified(self):
+        # exp(-1/v0) underflows to 0 below v0 ~ 1/745; 0 is no fixed point
+        # with multiplier 1 - v0, so there is nothing true to report
+        assert fixed_point(TrafficParams(v0=1e-3)) == 0.0
+        with pytest.raises(DomainError, match="underflows"):
+            classify_fixed_point(TrafficParams(v0=1e-3))
+
+    def test_smallest_representable_fixed_point_is_classified(self):
+        report = classify_fixed_point(TrafficParams(v0=0.0015))
+        assert report.k_star > 0.0
+        assert report.k_star == fixed_point(TrafficParams(v0=0.0015))
+        assert report.classification == SINK
+
 
 class TestPeriodDoublingThreshold:
     def test_value(self):

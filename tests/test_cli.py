@@ -1,12 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 import json
+import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from greenberg_dynamics.cli import main
+
+REPRO_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "repro_sha256.json"
 
 # Exit codes are asserted literally: 0 success, 2 usage, 3 domain, 4 I/O.
 
@@ -94,6 +99,18 @@ class TestClassifyCommand:
         assert doc["data"]["multiplier"] == -0.25
         assert doc["data"]["classification"] == "hyperbolic-sink"
 
+    def test_underflowing_fixed_point_exits_3(self, capsys):
+        assert run_cli("classify", "--v0", "0.001") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "underflows" in captured.err
+
+    def test_tiny_representable_fixed_point_is_reported(self, capsys):
+        assert run_cli("classify", "--v0", "0.0015", "--format", "json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["data"]["k_star"] > 0.0
+        assert doc["data"]["classification"] == "hyperbolic-sink"
+
 
 class TestCobwebCommand:
     def test_writes_a_triptych(self, tmp_path):
@@ -163,10 +180,22 @@ class TestSensitivityCommand:
         assert "no divergence" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="class")
+def repro_out(tmp_path_factory):
+    """One `repro --out out` run from a fresh directory, as the sha256 table was made."""
+    root = tmp_path_factory.mktemp("repro")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        assert run_cli("repro", "--out", "out") == 0
+    finally:
+        os.chdir(cwd)
+    return root / "out"
+
+
 class TestReproCommand:
-    def test_writes_every_experiment_and_the_manifest(self, tmp_path, capsys):
-        assert run_cli("repro", "--out", str(tmp_path)) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+    def test_writes_every_experiment_and_the_manifest(self, repro_out):
+        manifest = json.loads((repro_out / "manifest.json").read_text())
         names = [e["name"] for e in manifest["experiments"]]
         assert names == [
             "free_flow_sink",
@@ -183,4 +212,17 @@ class TestReproCommand:
         ]
         for experiment in manifest["experiments"]:
             for path in experiment["files"]:
-                assert (tmp_path / path.split("/")[-1]).exists()
+                assert (repro_out / path.split("/")[-1]).exists()
+
+    def test_artifacts_match_the_recorded_sha256(self, repro_out):
+        # perfbench/repro_sha256.json is the benchmark's record of every
+        # artifact byte; read only, never rewritten here
+        recorded = json.loads(REPRO_SHA256.read_text())
+        written = {p.name: p for p in repro_out.iterdir()}
+        assert sorted(written) == sorted(recorded)
+        changed = [
+            name
+            for name, digest in recorded.items()
+            if hashlib.sha256(written[name].read_bytes()).hexdigest() != digest
+        ]
+        assert changed == []

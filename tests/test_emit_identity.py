@@ -1,0 +1,309 @@
+"""Byte identity of the bulk emitters against the plain per-value builders.
+
+The emitters build each CSV row and each SVG dot with one %-format, and
+encode JSON arrays of numbers with json's C encoder. The references below
+are the straightforward builders they replaced: ``json.dumps(indent=2)``,
+one f-string with ``format(x, ".17g")`` per CSV row, and one f-string per
+bifurcation dot from a flat (v0, y) point list with the panel's pixel
+mapping written out. Every document must agree byte for byte.
+"""
+
+import io
+import json
+import math
+import warnings
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from greenberg_dynamics import emit
+from greenberg_dynamics.analysis import bifurcation_scan, lyapunov_curve
+from greenberg_dynamics.dynamics import iterate, sensitivity_experiment
+from greenberg_dynamics.emit import (
+    KIND_BIFURCATION,
+    DiagramPayload,
+    PlotSpec,
+    _json_text,
+    render_svg,
+    write_csv,
+    write_json,
+)
+from greenberg_dynamics.errors import EscapeWarning
+from greenberg_dynamics.model import TrafficParams, diagram_samples
+
+INV_E = math.exp(-1.0)
+
+
+# --- reference builders ----------------------------------------------------
+
+
+def ref_fmt17(x):
+    return format(x, ".17g")
+
+
+def ref_orbit_rows(orbit):
+    rows = []
+    last = len(orbit.states) - 1
+    for i, s in enumerate(orbit.states):
+        flag = ""
+        if i == last:
+            flag = "1" if orbit.escaped is not None else "0"
+        rows.append(f"{i},{ref_fmt17(s.k)},{ref_fmt17(s.q)},{ref_fmt17(s.v)},{flag}")
+    return "i,k,q,v,escaped", rows
+
+
+def ref_diagram_rows(payload):
+    rows = [f"{ref_fmt17(s.k)},{ref_fmt17(s.q)},{ref_fmt17(s.v)}" for s in payload.samples]
+    return "k,q,v", rows
+
+
+def ref_scan_rows(scan):
+    rows = []
+    for v0, states, period in zip(scan.v0_grid, scan.samples, scan.detected_periods):
+        period_field = emit.APERIODIC_CSV_MARKER if period is None else period
+        for j, s in enumerate(states):
+            rows.append(
+                f"{ref_fmt17(v0)},{j},{ref_fmt17(s.k)},{ref_fmt17(s.q)},{ref_fmt17(s.v)},"
+                f"{period_field}"
+            )
+    return "v0,sample_index,k,q,v,detected_period", rows
+
+
+def ref_curve_rows(curve):
+    rows = []
+    for v0, lam, terms, skipped in zip(
+        curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms
+    ):
+        lam_field = "" if lam is None else ref_fmt17(lam)
+        rows.append(f"{ref_fmt17(v0)},{lam_field},{terms},{skipped}")
+    return "v0,lambda,n_terms,skipped_terms", rows
+
+
+def ref_sensitivity_rows(result):
+    rows = []
+    for i, sep in enumerate(result.separation):
+        ka = result.orbit_a.states[i].k
+        kb = result.orbit_b.states[i].k
+        rows.append(f"{i},{ref_fmt17(ka)},{ref_fmt17(kb)},{ref_fmt17(sep)}")
+    return "i,k_a,k_b,separation", rows
+
+
+def ref_csv(rows_of, payload):
+    header, rows = rows_of(payload)
+    out = io.StringIO()
+    out.write(header + "\n")
+    for row in rows:
+        out.write(row + "\n")
+    return out.getvalue()
+
+
+def ref_px(panel, v):
+    return panel.left + (v - panel.x0) / (panel.x1 - panel.x0) * panel.width
+
+
+def ref_py(panel, v):
+    return panel.top + panel.height - (v - panel.y0) / (panel.y1 - panel.y0) * panel.height
+
+
+def ref_dot(panel, x, y, color, radius):
+    return (
+        f'<circle cx="{ref_px(panel, x):.2f}" cy="{ref_py(panel, y):.2f}" '
+        f'r="{radius}" fill="{color}"/>'
+    )
+
+
+def ref_bifurcation_panels(spec, scan):
+    points = []
+    for v0, states in zip(scan.v0_grid, scan.samples):
+        for s in states:
+            points.append((v0, getattr(s, spec.y_field)))
+    slots = list(emit._panel_slots(spec, 1))
+    x_range = emit._auto_range(list(scan.v0_grid), pad=0.02)
+    y_range = emit._auto_range([y for _, y in points])
+    panel = emit._make_panel(
+        spec, slots[0], x_range, y_range, "optimum velocity v0", spec.y_field, 0
+    )
+    if spec.show_threshold:
+        panel.vline(2.0, emit._PATH_COLOR)
+    for x, y in points:
+        panel.elements.append(ref_dot(panel, x, y, emit._CURVE_COLOR, 0.7))
+    return [panel]
+
+
+def ref_render_bifurcation(spec, scan):
+    """render_svg with the reference panel builder in place of the bulk one."""
+    table = {KIND_BIFURCATION: (emit.BifurcationScan, ref_bifurcation_panels)}
+    with mock.patch.dict(emit._KIND_PAYLOADS, table):
+        return render_svg(spec, scan)
+
+
+def csv_text(payload):
+    out = io.StringIO()
+    write_csv(payload, out)
+    return out.getvalue()
+
+
+# --- JSON ------------------------------------------------------------------
+
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
+texts = st.text(max_size=8) | st.sampled_from(["a, b", ", ", "[1, 2]", "é, ü", "  \x00"])
+scalars = st.none() | st.booleans() | st.integers() | finite_floats | texts
+documents = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(texts, children, max_size=6),
+    max_leaves=40,
+)
+
+
+@given(documents)
+def test_json_text_matches_indented_dumps(doc):
+    assert _json_text(doc, 0) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@given(
+    documents,
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(
+        [
+            lambda doc, bad: bad,
+            lambda doc, bad: [doc, bad],
+            lambda doc, bad: [1.0, bad, 2],
+            lambda doc, bad: {"a": doc, "b": [[0.5], [bad]]},
+            lambda doc, bad: {"a": ["x", {"c": bad}], "b": doc},
+        ]
+    ),
+)
+def test_json_text_rejects_non_finite_floats(doc, bad, place):
+    wrapped = place(doc, bad)
+    with pytest.raises(ValueError):
+        json.dumps(wrapped, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        _json_text(wrapped, 0)
+
+
+def test_json_byte_count_is_the_encoded_length():
+    doc_with_non_ascii = {"é, ü": [" ", 1.5, None]}
+    text = _json_text(doc_with_non_ascii, 0)
+    assert len(text.encode("utf-8")) == len(text)
+
+
+# --- scans: CSV and the three bifurcation ordinates ------------------------
+
+
+@st.composite
+def scans(draw):
+    """Small real scans, two kinds of them with escaped points.
+
+    "kj": the grid ends at v0 = e, started from the map maximum 1/e, whose
+    orbit reaches kj and then 0 at step 2, so the point escapes with no
+    samples. "underflow": v0 near 1e-3 from k0 near 1e-300, where each step
+    multiplies k by v0 * ln(1/k) < 1 until it underflows to 0, late enough
+    for some points to escape with partial samples.
+    """
+    n_total = draw(st.integers(2, 120))
+    n_keep = draw(st.integers(1, n_total - 1))
+    steps = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["plain", "kj", "underflow"]))
+    if kind == "underflow":
+        v0_max = draw(st.floats(0.001, 0.0013))
+        v0_lo, k0 = 0.0005, draw(st.floats(1e-305, 1e-295))
+    else:
+        v0_max = math.e if kind == "kj" else draw(st.floats(0.1, math.e))
+        v0_lo, k0 = 0.05, draw(st.floats(0.01, 0.99))
+    start = (lambda v0: INV_E if v0 == math.e else k0) if kind == "kj" else k0
+    v0_min = v0_max if steps == 1 else draw(st.floats(v0_lo, v0_max, exclude_max=True))
+    return bifurcation_scan(v0_min, v0_max, steps, k0=start, n_total=n_total, n_keep=n_keep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scans())
+def test_scan_csv_matches_reference(scan):
+    assert csv_text(scan) == ref_csv(ref_scan_rows, scan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scans(), st.sampled_from("kqv"), st.booleans())
+def test_bifurcation_svg_matches_reference(scan, y_field, show_threshold):
+    spec = PlotSpec(kind=KIND_BIFURCATION, y_field=y_field, show_threshold=show_threshold)
+    assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
+
+
+def test_scans_with_escapes_and_periods_match_reference():
+    # pinned examples of what the properties above draw: points escaped with
+    # no samples and with partial samples, and points with a detected period
+    escaped = bifurcation_scan(
+        2.25, math.e, 3, k0=lambda v0: INV_E if v0 == math.e else 0.3, n_total=3, n_keep=2
+    )
+    assert escaped.escaped == (False, False, True) and len(escaped.samples[-1]) == 0
+    partial = bifurcation_scan(0.0005, 0.0012, 3, k0=1e-300, n_total=60, n_keep=40)
+    assert partial.escaped == (True, True, False)
+    assert [len(s) for s in partial.samples] == [0, 17, 40]
+    periodic = bifurcation_scan(2.25, 2.3, 2, n_total=200, n_keep=20)
+    assert periodic.detected_periods == (2, 2)
+    for scan in (escaped, partial, periodic):
+        assert csv_text(scan) == ref_csv(ref_scan_rows, scan)
+        for y_field in "kqv":
+            spec = PlotSpec(kind=KIND_BIFURCATION, y_field=y_field)
+            assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
+
+
+# --- the other row builders and the cobweb dots ----------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.001, math.e),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 40),
+)
+def test_orbit_csv_and_cobweb_match_reference(v0, k0, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EscapeWarning)
+        orbit = iterate(k0, TrafficParams(v0=v0), n)
+    assert csv_text(orbit) == ref_csv(ref_orbit_rows, orbit)
+    panel = emit._Panel(56.0, 44, 300.0, 260, (0.0, 1.0), (0.0, 3.0), "k", "v", "c")
+    points = [(s.k, s.v) for s in orbit.states]
+    panel.dots(points, emit._MARKER_COLOR)
+    expected = [ref_dot(panel, x, y, emit._MARKER_COLOR, 2.0) for x, y in points]
+    assert panel.elements == expected
+
+
+def test_escaped_orbit_csv_matches_reference():
+    with pytest.warns(EscapeWarning):
+        orbit = iterate(INV_E, TrafficParams(v0=math.e), 10)
+    assert orbit.escaped is not None
+    assert csv_text(orbit) == ref_csv(ref_orbit_rows, orbit)
+
+
+def test_curve_sensitivity_and_diagram_csv_match_reference():
+    curve = lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=50)
+    assert None in curve.lambdas
+    assert csv_text(curve) == ref_csv(ref_curve_rows, curve)
+    result = sensitivity_experiment(0.1, 1e-3, TrafficParams(v0=2.585), n=60)
+    assert csv_text(result) == ref_csv(ref_sensitivity_rows, result)
+    p = TrafficParams(v0=2.25)
+    diagram = DiagramPayload(params=p, samples=tuple(diagram_samples(p, 80)))
+    assert csv_text(diagram) == ref_csv(ref_diagram_rows, diagram)
+
+
+def test_every_payload_json_matches_indented_dumps():
+    p = TrafficParams(v0=2.25)
+    for payload, document in [
+        (bifurcation_scan(2.2, 2.3, 3, n_total=60, n_keep=8), emit._scan_document),
+        (iterate(0.1, TrafficParams(v0=1.25), 20), emit._orbit_document),
+        (lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=50), emit._curve_document),
+        (sensitivity_experiment(0.1, 1e-3, p, n=30), emit._sensitivity_document),
+        (DiagramPayload(p, tuple(diagram_samples(p, 20))), emit._diagram_document),
+    ]:
+        out = io.StringIO()
+        count = write_json(payload, out)
+        expected = json.dumps(document(payload), indent=2, allow_nan=False) + "\n"
+        assert out.getvalue() == expected
+        assert count == len(expected.encode("utf-8"))
+
