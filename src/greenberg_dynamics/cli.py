@@ -11,12 +11,19 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
 from . import analysis, emit
-from .dynamics import Orbit, iterate, sensitivity_experiment
+from .dynamics import (
+    DEFAULT_ITERATIONS,
+    DEFAULT_SENSITIVITY_DELTA,
+    DEFAULT_SENSITIVITY_THRESHOLD,
+    Orbit,
+    iterate,
+    sensitivity_experiment,
+)
 from .errors import ArgumentError, DomainError, EscapeError, EscapeWarning
 from .model import TrafficParams, diagram_samples
 
@@ -27,38 +34,23 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-# The eight single-orbit experiments reproduced by `repro`, as
-# (name, v0, k0) with n=300 iterations each.
+# The reference experiments that `repro` writes: (name, subcommands, flags).
+# Each subcommand runs through the parser and its handler, so every flag not
+# given here takes its default. Orbit experiments share the output
+# directory, so their files are named after the experiment.
 REPRO_EXPERIMENTS = (
-    ("free_flow_sink", 0.25, 0.25),
-    ("congested_sink", 1.25, 0.1),
-    ("damped_cycle", 1.75, 0.1),
-    ("two_cycle", 2.25, 0.35),
-    ("four_cycle", 2.405, 0.275),
-    ("eight_cycle", 2.48, 0.23),
-    ("chaotic_a", 2.585, 0.1),
-    ("chaotic_b", 2.585, 0.101),
+    ("free_flow_sink", ("orbit", "cobweb"), "--v0 0.25 --k0 0.25"),
+    ("congested_sink", ("orbit", "cobweb"), "--v0 1.25 --k0 0.1"),
+    ("damped_cycle", ("orbit", "cobweb"), "--v0 1.75 --k0 0.1"),
+    ("two_cycle", ("orbit", "cobweb"), "--v0 2.25 --k0 0.35"),
+    ("four_cycle", ("orbit", "cobweb"), "--v0 2.405 --k0 0.275"),
+    ("eight_cycle", ("orbit", "cobweb"), "--v0 2.48 --k0 0.23"),
+    ("chaotic_a", ("orbit", "cobweb"), "--v0 2.585 --k0 0.1"),
+    ("chaotic_b", ("orbit", "cobweb"), "--v0 2.585 --k0 0.101"),
+    ("sensitivity", ("sensitivity",), "--v0 2.585 --k0 0.1"),
+    ("bifurcation_scan", ("bifurcation",), ""),
+    ("lyapunov_curve", ("lyapunov",), ""),
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one subcommand plus the flags it consumes."""
-
-    command: str
-    v0: float | None = None
-    v0_min: float | None = None
-    v0_max: float | None = None
-    steps: int | None = None
-    k0: float | None = None
-    kj: float = 1.0
-    n: int | None = None
-    transient: int | None = None
-    keep: int | None = None
-    tolerance: float | None = None
-    delta: float | None = None
-    fmt: str = "all"
-    out: str = "."
 
 
 def _positive_int(text: str) -> int:
@@ -86,30 +78,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p, formats, default_fmt="all"):
-        choices = list(formats) + (["all"] if default_fmt == "all" else [])
+    def add_out(p, *formats):
+        default_fmt = "all" if len(formats) > 1 else formats[0]
+        choices = [*formats, "all"] if len(formats) > 1 else list(formats)
         p.add_argument("--format", dest="fmt", choices=choices, default=default_fmt)
         p.add_argument("--out", default=".", help="output directory (created if absent)")
+        # Not flags: "all" stands for these formats, and repro sets the prefix
+        # that names its orbit files after the experiment.
+        p.set_defaults(formats=formats, prefix="")
+
+    def add_grid(p, steps):
+        p.add_argument("--v0-min", type=_positive_float, default=0.05)
+        p.add_argument("--v0-max", type=_positive_float, default=2.7)
+        p.add_argument("--steps", type=_positive_int, default=steps)
+        p.add_argument("--k0", type=float, default=analysis.DEFAULT_SCAN_K0)
 
     p = sub.add_parser("diagram", help="fundamental diagram profiles")
     p.add_argument("--v0", type=float, default=1.0)
     p.add_argument("--kj", type=_positive_float, default=1.0)
     p.add_argument("--n", type=_positive_int, default=400, help="sample count")
-    add_out(p, ("csv", "json", "svg"))
+    add_out(p, "csv", "json", "svg")
 
-    p = sub.add_parser("orbit", help="iterate the map and emit the orbit")
-    p.add_argument("--v0", type=float, required=True)
-    p.add_argument("--k0", type=float, default=0.25)
-    p.add_argument("--kj", type=_positive_float, default=1.0)
-    p.add_argument("--n", type=_positive_int, default=300)
-    add_out(p, ("csv", "json"))
-
-    p = sub.add_parser("cobweb", help="orbit iteration drawn over the three diagrams")
-    p.add_argument("--v0", type=float, required=True)
-    p.add_argument("--k0", type=float, default=0.25)
-    p.add_argument("--kj", type=_positive_float, default=1.0)
-    p.add_argument("--n", type=_positive_int, default=300)
-    add_out(p, ("svg",), default_fmt="svg")
+    for name, help_text, formats in (
+        ("orbit", "iterate the map and emit the orbit", ("csv", "json")),
+        ("cobweb", "orbit iteration drawn over the three diagrams", ("svg",)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--v0", type=float, required=True)
+        p.add_argument("--k0", type=float, default=0.25)
+        p.add_argument("--kj", type=_positive_float, default=1.0)
+        p.add_argument("--n", type=_positive_int, default=DEFAULT_ITERATIONS)
+        add_out(p, *formats)
 
     p = sub.add_parser("classify", help="fixed point, multiplier and stability")
     p.add_argument("--v0", type=float, required=True)
@@ -117,37 +116,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
 
     p = sub.add_parser("bifurcation", help="attractor samples over a v0 grid")
-    p.add_argument("--v0-min", type=_positive_float, default=0.05)
-    p.add_argument("--v0-max", type=_positive_float, default=2.7)
-    p.add_argument("--steps", type=_positive_int, default=1000)
-    p.add_argument("--k0", type=float, default=0.25)
-    p.add_argument("--n", type=_positive_int, default=300, help="iterations per point")
-    p.add_argument("--keep", type=_positive_int, default=60)
-    p.add_argument("--tolerance", type=_positive_float, default=1e-6)
-    add_out(p, ("csv", "json", "svg"))
+    add_grid(p, 1000)
+    p.add_argument(
+        "--n", type=_positive_int, default=analysis.DEFAULT_SCAN_TOTAL,
+        help="iterations per point",
+    )
+    p.add_argument("--keep", type=_positive_int, default=analysis.DEFAULT_SCAN_KEEP)
+    p.add_argument(
+        "--tolerance", type=_positive_float, default=analysis.DEFAULT_PERIOD_TOLERANCE
+    )
+    add_out(p, "csv", "json", "svg")
 
     p = sub.add_parser("lyapunov", help="Lyapunov exponent over a v0 grid")
-    p.add_argument("--v0-min", type=_positive_float, default=0.05)
-    p.add_argument("--v0-max", type=_positive_float, default=2.7)
-    p.add_argument("--steps", type=_positive_int, default=200)
-    p.add_argument("--k0", type=float, default=0.25)
-    p.add_argument("--n", type=_positive_int, default=10_000)
-    p.add_argument("--transient", type=_positive_int, default=1_000)
-    add_out(p, ("csv", "json", "svg"))
+    add_grid(p, 200)
+    p.add_argument("--n", type=_positive_int, default=analysis.DEFAULT_LYAPUNOV_TERMS)
+    p.add_argument(
+        "--transient", type=_positive_int, default=analysis.DEFAULT_LYAPUNOV_TRANSIENT
+    )
+    add_out(p, "csv", "json", "svg")
 
     p = sub.add_parser("sensitivity", help="two nearby orbits and their separation")
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--k0", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=1e-3)
+    p.add_argument("--delta", type=float, default=DEFAULT_SENSITIVITY_DELTA)
     p.add_argument("--kj", type=_positive_float, default=1.0)
-    p.add_argument("--n", type=_positive_int, default=300)
+    p.add_argument("--n", type=_positive_int, default=DEFAULT_ITERATIONS)
     p.add_argument(
         "--tolerance",
         type=_positive_float,
-        default=0.1,
+        default=DEFAULT_SENSITIVITY_THRESHOLD,
         help="separation threshold marking divergence",
     )
-    add_out(p, ("csv", "json", "svg"))
+    add_out(p, "csv", "json", "svg")
 
     p = sub.add_parser("repro", help="run the full set of reference experiments")
     p.add_argument("--out", default="greenberg-repro")
@@ -155,53 +155,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        key: value
-        for key, value in vars(args).items()
-        if key in RunConfig.__dataclass_fields__ and value is not None
-    }
-    return RunConfig(**fields)
+def _write(args: argparse.Namespace, payload, stem: str, svgs=()) -> list[str]:
+    """Write the payload in the formats --format asks for, under --out.
 
-
-def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _formats(config: RunConfig, supported: Sequence[str]) -> list[str]:
-    if config.fmt == "all":
-        return list(supported)
-    return [config.fmt]
-
-
-def _emit(payload, out: Path, stem: str, formats: Sequence[str]) -> list[Path]:
+    Files are named ``<prefix><stem>.csv``, ``.json`` and, for each
+    (suffix, PlotSpec) in ``svgs``, ``<prefix><stem><suffix>.svg``.
+    Returns the paths written, in order.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    formats = args.formats if args.fmt == "all" else (args.fmt,)
+    base = f"{args.prefix}{stem}"
     written = []
-    if "csv" in formats:
-        path = out / f"{stem}.csv"
-        emit.write_csv(payload, path)
-        written.append(path)
-    if "json" in formats:
-        path = out / f"{stem}.json"
-        emit.write_json(payload, path)
-        written.append(path)
-    for path in written:
+
+    def wrote(path: Path) -> None:
         print(f"wrote {path}")
+        written.append(str(path))
+
+    for fmt, writer in (("csv", emit.write_csv), ("json", emit.write_json)):
+        if fmt in formats:
+            writer(payload, out / f"{base}.{fmt}")
+            wrote(out / f"{base}.{fmt}")
+    if "svg" in formats:
+        for suffix, spec in svgs:
+            path = out / f"{base}{suffix}.svg"
+            path.write_text(emit.render_svg(spec, payload), encoding="utf-8")
+            wrote(path)
     return written
 
 
-def _write_svg(spec: emit.PlotSpec, payload, path: Path) -> Path:
-    path.write_text(emit.render_svg(spec, payload), encoding="utf-8")
-    print(f"wrote {path}")
-    return path
-
-
-def _quiet_orbit(k0: float, p: TrafficParams, n: int) -> Orbit:
+def _quiet(fn, *args, **kwargs):
     # The CLI reports escapes itself; silence the library warning.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EscapeWarning)
-        return iterate(k0, p, n)
+        return fn(*args, **kwargs)
 
 
 def _warn_escape(orbit: Orbit) -> None:
@@ -213,105 +200,90 @@ def _warn_escape(orbit: Orbit) -> None:
         )
 
 
-def _cmd_diagram(config: RunConfig) -> int:
-    p = TrafficParams(v0=config.v0, kj=config.kj)
-    payload = emit.DiagramPayload(params=p, samples=tuple(diagram_samples(p, config.n)))
-    out = _out_dir(config)
-    formats = _formats(config, ("csv", "json", "svg"))
-    _emit(payload, out, "diagram", formats)
-    if "svg" in formats:
-        spec = emit.PlotSpec(
-            kind=emit.KIND_DIAGRAMS, title=f"Greenberg diagrams, v0={p.v0:g}"
-        )
-        _write_svg(spec, payload, out / "diagram.svg")
-    return EXIT_OK
+# Each handler returns the files it wrote and the settings it ran the
+# library with; repro records both in its manifest.
 
 
-def _cmd_orbit(config: RunConfig) -> int:
-    p = TrafficParams(v0=config.v0, kj=config.kj)
-    orbit = _quiet_orbit(config.k0, p, config.n)
+def _cmd_diagram(args: argparse.Namespace) -> tuple[list[str], dict]:
+    settings = {"v0": args.v0, "kj": args.kj, "n": args.n}
+    p = TrafficParams(v0=args.v0, kj=args.kj)
+    payload = emit.DiagramPayload(params=p, samples=tuple(diagram_samples(p, args.n)))
+    spec = emit.PlotSpec(kind=emit.KIND_DIAGRAMS, title=f"Greenberg diagrams, v0={p.v0:g}")
+    return _write(args, payload, "diagram", [("", spec)]), settings
+
+
+def _orbit(args: argparse.Namespace) -> tuple[Orbit, dict]:
+    settings = {"v0": args.v0, "kj": args.kj, "k0": args.k0, "n": args.n}
+    orbit = _quiet(iterate, args.k0, TrafficParams(v0=args.v0, kj=args.kj), args.n)
     _warn_escape(orbit)
+    return orbit, settings
+
+
+def _cmd_orbit(args: argparse.Namespace) -> tuple[list[str], dict]:
+    orbit, settings = _orbit(args)
     final = orbit.states[-1]
     print(
         f"final state: i={len(orbit.states) - 1} k={final.k:.6g} "
         f"q={final.q:.6g} v={final.v:.6g}"
     )
-    _emit(orbit, _out_dir(config), "orbit", _formats(config, ("csv", "json")))
-    return EXIT_OK
+    return _write(args, orbit, "orbit"), settings
 
 
-def _cmd_cobweb(config: RunConfig) -> int:
-    p = TrafficParams(v0=config.v0, kj=config.kj)
-    orbit = _quiet_orbit(config.k0, p, config.n)
-    _warn_escape(orbit)
+def _cmd_cobweb(args: argparse.Namespace) -> tuple[list[str], dict]:
+    orbit, settings = _orbit(args)
     spec = emit.PlotSpec(
         kind=emit.KIND_COBWEB,
-        title=f"Iteration on the Greenberg diagrams, v0={p.v0:g}, k0={config.k0:g}",
+        title=f"Iteration on the Greenberg diagrams, v0={args.v0:g}, k0={args.k0:g}",
     )
-    _write_svg(spec, orbit, _out_dir(config) / "cobweb.svg")
-    return EXIT_OK
+    return _write(args, orbit, "cobweb", [("", spec)]), settings
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    p = TrafficParams(v0=config.v0, kj=config.kj)
-    report = analysis.classify_fixed_point(p)
-    if config.fmt == "json":
-        doc = {
-            "schema_version": emit.SCHEMA_VERSION,
-            "kind": "fixed-point-report",
-            "settings": {"v0": p.v0, "kj": p.kj},
-            "data": {
-                "k_star": report.k_star,
-                "multiplier": report.multiplier,
-                "classification": report.classification,
-                "exponentially_stable": report.exponentially_stable,
-            },
-        }
+def _cmd_classify(args: argparse.Namespace) -> tuple[list[str], dict]:
+    settings = {"v0": args.v0, "kj": args.kj}
+    report = analysis.classify_fixed_point(TrafficParams(**settings))
+    if args.fmt == "json":
+        doc = emit.envelope("fixed-point-report", settings, asdict(report))
         print(json.dumps(doc, indent=2))
     else:
         print(f"fixed point k*      = {report.k_star:.12g}")
         print(f"multiplier          = {report.multiplier:.12g}")
         print(f"classification      = {report.classification}")
         print(f"exponentially stable = {'yes' if report.exponentially_stable else 'no'}")
-    return EXIT_OK
+    return [], settings
 
 
-def _cmd_bifurcation(config: RunConfig) -> int:
-    scan = analysis.bifurcation_scan(
-        config.v0_min,
-        config.v0_max,
-        config.steps,
-        k0=config.k0,
-        n_total=config.n,
-        n_keep=config.keep,
-        tolerance=config.tolerance,
-    )
+def _cmd_bifurcation(args: argparse.Namespace) -> tuple[list[str], dict]:
+    settings = {
+        "v0_min": args.v0_min,
+        "v0_max": args.v0_max,
+        "steps": args.steps,
+        "k0": args.k0,
+        "n_total": args.n,
+        "n_keep": args.keep,
+        "tolerance": args.tolerance,
+    }
+    scan = analysis.bifurcation_scan(**settings)
     escaped = sum(scan.escaped)
     if escaped:
         print(f"warning: {escaped} grid points escaped (0, 1]", file=sys.stderr)
-    out = _out_dir(config)
-    formats = _formats(config, ("csv", "json", "svg"))
-    _emit(scan, out, "bifurcation", formats)
-    if "svg" in formats:
-        for field in ("k", "v"):
-            spec = emit.PlotSpec(
-                kind=emit.KIND_BIFURCATION,
-                title=f"{field} vs v0 bifurcation diagram",
-                y_field=field,
-            )
-            _write_svg(spec, scan, out / f"bifurcation_{field}.svg")
-    return EXIT_OK
+    svgs = []
+    for field in ("k", "v"):
+        title = f"{field} vs v0 bifurcation diagram"
+        spec = emit.PlotSpec(kind=emit.KIND_BIFURCATION, title=title, y_field=field)
+        svgs.append((f"_{field}", spec))
+    return _write(args, scan, "bifurcation", svgs), settings
 
 
-def _cmd_lyapunov(config: RunConfig) -> int:
-    curve = analysis.lyapunov_curve(
-        config.v0_min,
-        config.v0_max,
-        config.steps,
-        k0=config.k0,
-        n=config.n,
-        n_transient=config.transient,
-    )
+def _cmd_lyapunov(args: argparse.Namespace) -> tuple[list[str], dict]:
+    settings = {
+        "v0_min": args.v0_min,
+        "v0_max": args.v0_max,
+        "steps": args.steps,
+        "k0": args.k0,
+        "n": args.n,
+        "n_transient": args.transient,
+    }
+    curve = analysis.lyapunov_curve(**settings)
     missing = sum(1 for lam in curve.lambdas if lam is None)
     if missing:
         print(
@@ -319,122 +291,60 @@ def _cmd_lyapunov(config: RunConfig) -> int:
             "(escaped or superstable orbit)",
             file=sys.stderr,
         )
-    out = _out_dir(config)
-    formats = _formats(config, ("csv", "json", "svg"))
-    _emit(curve, out, "lyapunov", formats)
-    if "svg" in formats:
-        spec = emit.PlotSpec(kind=emit.KIND_LYAPUNOV, title="Lyapunov exponent vs v0")
-        _write_svg(spec, curve, out / "lyapunov.svg")
-    return EXIT_OK
+    spec = emit.PlotSpec(kind=emit.KIND_LYAPUNOV, title="Lyapunov exponent vs v0")
+    return _write(args, curve, "lyapunov", [("", spec)]), settings
 
 
-def _cmd_sensitivity(config: RunConfig) -> int:
-    p = TrafficParams(v0=config.v0, kj=config.kj)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EscapeWarning)
-        result = sensitivity_experiment(
-            config.k0, config.delta, p, n=config.n, threshold=config.tolerance
-        )
+def _cmd_sensitivity(args: argparse.Namespace) -> tuple[list[str], dict]:
+    settings = {
+        "v0": args.v0,
+        "kj": args.kj,
+        "k0": args.k0,
+        "delta": args.delta,
+        "n": args.n,
+        "threshold": args.tolerance,
+    }
+    p = TrafficParams(v0=args.v0, kj=args.kj)
+    result = _quiet(
+        sensitivity_experiment, args.k0, args.delta, p, n=args.n, threshold=args.tolerance
+    )
     for orbit in (result.orbit_a, result.orbit_b):
         _warn_escape(orbit)
     if result.first_divergence_index is None:
-        print(f"no divergence beyond {result.threshold:g} within {config.n} iterations")
+        print(f"no divergence beyond {result.threshold:g} within {args.n} iterations")
     else:
         print(
             f"separation exceeded {result.threshold:g} at iterate "
             f"{result.first_divergence_index}"
         )
-    out = _out_dir(config)
-    formats = _formats(config, ("csv", "json", "svg"))
-    _emit(result, out, "sensitivity", formats)
-    if "svg" in formats:
-        spec = emit.PlotSpec(
-            kind=emit.KIND_SENSITIVITY,
-            title=f"Nearby orbits, v0={p.v0:g}, k0={config.k0:g}, delta={config.delta:g}",
-        )
-        _write_svg(spec, result, out / "sensitivity.svg")
-    return EXIT_OK
-
-
-def _cmd_repro(config: RunConfig) -> int:
-    out = _out_dir(config)
-    manifest: list[dict] = []
-
-    for name, v0, k0 in REPRO_EXPERIMENTS:
-        p = TrafficParams(v0=v0)
-        orbit = _quiet_orbit(k0, p, 300)
-        _warn_escape(orbit)
-        files = [str(f) for f in _emit(orbit, out, f"{name}_orbit", ("csv", "json"))]
-        spec = emit.PlotSpec(
-            kind=emit.KIND_COBWEB,
-            title=f"Iteration on the Greenberg diagrams, v0={v0:g}, k0={k0:g}",
-        )
-        files.append(str(_write_svg(spec, orbit, out / f"{name}_cobweb.svg")))
-        manifest.append(
-            {
-                "name": name,
-                "settings": {"v0": v0, "kj": 1.0, "k0": k0, "n": 300},
-                "files": files,
-            }
-        )
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EscapeWarning)
-        result = sensitivity_experiment(0.1, 1e-3, TrafficParams(v0=2.585), n=300)
-    files = [str(f) for f in _emit(result, out, "sensitivity", ("csv", "json"))]
     spec = emit.PlotSpec(
-        kind=emit.KIND_SENSITIVITY, title="Nearby orbits, v0=2.585, k0=0.1, delta=0.001"
+        kind=emit.KIND_SENSITIVITY,
+        title=f"Nearby orbits, v0={p.v0:g}, k0={args.k0:g}, delta={args.delta:g}",
     )
-    files.append(str(_write_svg(spec, result, out / "sensitivity.svg")))
-    manifest.append(
-        {
-            "name": "sensitivity",
-            "settings": {"v0": 2.585, "kj": 1.0, "k0": 0.1, "delta": 1e-3, "n": 300,
-                         "threshold": 0.1},
-            "files": files,
-        }
-    )
+    return _write(args, result, "sensitivity", [("", spec)]), settings
 
-    scan = analysis.bifurcation_scan(0.05, 2.7, 1000)
-    files = [str(f) for f in _emit(scan, out, "bifurcation", ("csv", "json"))]
-    for field in ("k", "v"):
-        spec = emit.PlotSpec(
-            kind=emit.KIND_BIFURCATION,
-            title=f"{field} vs v0 bifurcation diagram",
-            y_field=field,
-        )
-        files.append(str(_write_svg(spec, scan, out / f"bifurcation_{field}.svg")))
-    manifest.append(
-        {
-            "name": "bifurcation_scan",
-            "settings": {"v0_min": 0.05, "v0_max": 2.7, "steps": 1000, "k0": 0.25,
-                         "n_total": 300, "n_keep": 60, "tolerance": 1e-6},
-            "files": files,
-        }
-    )
 
-    curve = analysis.lyapunov_curve(0.05, 2.7, 200)
-    files = [str(f) for f in _emit(curve, out, "lyapunov", ("csv", "json"))]
-    spec = emit.PlotSpec(kind=emit.KIND_LYAPUNOV, title="Lyapunov exponent vs v0")
-    files.append(str(_write_svg(spec, curve, out / "lyapunov.svg")))
-    manifest.append(
-        {
-            "name": "lyapunov_curve",
-            "settings": {"v0_min": 0.05, "v0_max": 2.7, "steps": 200, "k0": 0.25,
-                         "n": 10_000, "n_transient": 1_000},
-            "files": files,
-        }
-    )
-
-    manifest_doc = {
+def _cmd_repro(args: argparse.Namespace) -> tuple[list[str], dict]:
+    parser = build_parser()
+    experiments = []
+    for name, commands, flags in REPRO_EXPERIMENTS:
+        files: list[str] = []
+        for command in commands:
+            run = parser.parse_args([command, *flags.split(), f"--out={args.out}"])
+            if "orbit" in commands:
+                run.prefix = f"{name}_"
+            written, settings = _HANDLERS[command](run)
+            files += written
+        experiments.append({"name": name, "settings": settings, "files": files})
+    doc = {
         "schema_version": emit.SCHEMA_VERSION,
         "kind": "repro-manifest",
-        "experiments": manifest,
+        "experiments": experiments,
     }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest_doc, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {manifest_path}")
-    return EXIT_OK
+    path = Path(args.out) / "manifest.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return [str(path)], {}
 
 
 _HANDLERS = {
@@ -449,22 +359,17 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one validated invocation; returns the process exit status."""
-    return _HANDLERS[config.command](config)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return run(config)
+        _HANDLERS[args.command](args)
     except (DomainError, ArgumentError, EscapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .model import TrafficParams, TrafficState
 
 DEFAULT_ITERATIONS = 300
 DEFAULT_SENSITIVITY_DELTA = 1e-3
+DEFAULT_SENSITIVITY_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def sensitivity_experiment(
     delta: float,
     p: TrafficParams,
     n: int = DEFAULT_ITERATIONS,
-    threshold: float = 0.1,
+    threshold: float = DEFAULT_SENSITIVITY_THRESHOLD,
 ) -> SensitivityResult:
     """Run orbits from k0 and k0 + delta and track their pointwise separation.
 

@@ -10,6 +10,10 @@ is per value, so each value is formatted by as few calls as possible: one
 %-format per CSV row and per SVG dot, the shared v0 prefix of a bifurcation
 point formatted once, and every JSON array of numbers encoded by json's C
 encoder in one call (``_json_text``).
+
+Each payload type has one entry in ``_SCHEMAS``: its JSON kind, plot kind,
+CSV header and rows, settings, JSON data and SVG panels. ``write_csv``,
+``write_json`` and ``render_svg`` dispatch through it and nothing else.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from __future__ import annotations
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import BifurcationScan, LyapunovCurve, fixed_point
 from .dynamics import Orbit, SensitivityResult, cobweb_path
@@ -72,28 +76,74 @@ class PlotSpec:
     y_field: str = "k"
 
 
+@dataclass(frozen=True)
+class _Schema:
+    """How one payload type is emitted; ``_SCHEMAS`` holds one per type."""
+
+    kind: str  # the JSON document kind
+    plot: str  # the PlotSpec kind that draws it
+    header: str  # the CSV header
+    rows: Callable  # payload -> CSV data rows, each ending in a newline
+    settings: Callable  # payload -> the input parameters echoed into every artifact
+    data: Callable  # payload -> the JSON "data" object
+    panels: Callable  # (spec, payload) -> the SVG panels
+
+
 def _sink(destination):
     if hasattr(destination, "write"):
         return nullcontext(destination)
     return open(destination, "w", encoding="utf-8", newline="")
 
 
-def _orbit_rows(orbit: Orbit) -> tuple[str, list[str]]:
+def _states_data(states) -> dict:
+    return {
+        "k": [s.k for s in states],
+        "q": [s.q for s in states],
+        "v": [s.v for s in states],
+    }
+
+
+def _grid_settings(sweep) -> dict:
+    """A sweep's grid ends and size, then its settings in field order."""
+    grid = sweep.v0_grid
+    return {
+        "v0_min": grid[0] if grid else None,
+        "v0_max": grid[-1] if grid else None,
+        "steps": len(grid),
+        **asdict(sweep.settings),
+    }
+
+
+def _orbit_rows(orbit: Orbit) -> list[str]:
     last = len(orbit.states) - 1
     flag = "1" if orbit.escaped is not None else "0"
-    rows = [
+    return [
         "%d,%.17g,%.17g,%.17g,%s\n" % (i, s.k, s.q, s.v, flag if i == last else "")
         for i, s in enumerate(orbit.states)
     ]
-    return "i,k,q,v,escaped", rows
 
 
-def _diagram_rows(payload: DiagramPayload) -> tuple[str, list[str]]:
-    rows = ["%.17g,%.17g,%.17g\n" % (s.k, s.q, s.v) for s in payload.samples]
-    return "k,q,v", rows
+def _orbit_settings(orbit: Orbit) -> dict:
+    return {"v0": orbit.params.v0, "kj": orbit.params.kj, "k0": orbit.k0, "n": orbit.n}
 
 
-def _scan_rows(scan: BifurcationScan) -> tuple[str, list[str]]:
+def _orbit_data(orbit: Orbit) -> dict:
+    return {**_states_data(orbit.states), "escaped": orbit.escaped}
+
+
+def _diagram_rows(payload: DiagramPayload) -> list[str]:
+    return ["%.17g,%.17g,%.17g\n" % (s.k, s.q, s.v) for s in payload.samples]
+
+
+def _diagram_settings(payload: DiagramPayload) -> dict:
+    return {"v0": payload.params.v0, "kj": payload.params.kj, "n": len(payload.samples)}
+
+
+def _diagram_data(payload: DiagramPayload) -> dict:
+    return _states_data(payload.samples)
+
+
+def _scan_rows(scan: BifurcationScan) -> list[str]:
     rows = []
     for v0, states, period in zip(scan.v0_grid, scan.samples, scan.detected_periods):
         # The v0 prefix and the period suffix are shared by every sample of a point.
@@ -103,11 +153,23 @@ def _scan_rows(scan: BifurcationScan) -> tuple[str, list[str]]:
             "%s%d,%.17g,%.17g,%.17g%s" % (prefix, j, s.k, s.q, s.v, suffix)
             for j, s in enumerate(states)
         )
-    return "v0,sample_index,k,q,v,detected_period", rows
+    return rows
 
 
-def _curve_rows(curve: LyapunovCurve) -> tuple[str, list[str]]:
-    rows = [
+def _scan_data(scan: BifurcationScan) -> dict:
+    return {
+        "v0": list(scan.v0_grid),
+        "k0": list(scan.k0_values),
+        "detected_period": list(scan.detected_periods),
+        "escaped": list(scan.escaped),
+        "k": [[s.k for s in states] for states in scan.samples],
+        "q": [[s.q for s in states] for states in scan.samples],
+        "v": [[s.v for s in states] for states in scan.samples],
+    }
+
+
+def _curve_rows(curve: LyapunovCurve) -> list[str]:
+    return [
         "%.17g,,%d,%d\n" % (v0, terms, skipped)
         if lam is None
         else "%.17g,%.17g,%d,%d\n" % (v0, lam, terms, skipped)
@@ -115,164 +177,76 @@ def _curve_rows(curve: LyapunovCurve) -> tuple[str, list[str]]:
             curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms
         )
     ]
-    return "v0,lambda,n_terms,skipped_terms", rows
 
 
-def _sensitivity_rows(result: SensitivityResult) -> tuple[str, list[str]]:
+def _curve_data(curve: LyapunovCurve) -> dict:
+    return {
+        "v0": list(curve.v0_grid),
+        "lambda": list(curve.lambdas),
+        "n_terms": list(curve.n_terms),
+        "skipped_terms": list(curve.skipped_terms),
+    }
+
+
+def _sensitivity_rows(result: SensitivityResult) -> list[str]:
     a, b = result.orbit_a.states, result.orbit_b.states
-    rows = [
+    return [
         "%d,%.17g,%.17g,%.17g\n" % (i, a[i].k, b[i].k, sep)
         for i, sep in enumerate(result.separation)
     ]
-    return "i,k_a,k_b,separation", rows
+
+
+def _sensitivity_settings(result: SensitivityResult) -> dict:
+    a, b = result.orbit_a, result.orbit_b
+    return {
+        "v0": a.params.v0,
+        "kj": a.params.kj,
+        "k0": a.k0,
+        "delta": b.k0 - a.k0,
+        "n": a.n,
+        "threshold": result.threshold,
+    }
+
+
+def _sensitivity_data(result: SensitivityResult) -> dict:
+    m = len(result.separation)
+    return {
+        "k_a": [s.k for s in result.orbit_a.states[:m]],
+        "k_b": [s.k for s in result.orbit_b.states[:m]],
+        "separation": list(result.separation),
+        "first_divergence_index": result.first_divergence_index,
+    }
+
+
+def _schema_of(payload, what: str) -> _Schema:
+    schema = next((_SCHEMAS[t] for t in type(payload).__mro__ if t in _SCHEMAS), None)
+    if schema is None:
+        raise SpecError(f"no {what} schema for payload type {type(payload).__name__}")
+    return schema
 
 
 def write_csv(payload, destination) -> int:
-    """Write one CSV document for the payload; returns the data row count.
-
-    The document is built whole and written in one call.
-    """
-    if isinstance(payload, Orbit):
-        header, rows = _orbit_rows(payload)
-    elif isinstance(payload, DiagramPayload):
-        header, rows = _diagram_rows(payload)
-    elif isinstance(payload, BifurcationScan):
-        header, rows = _scan_rows(payload)
-    elif isinstance(payload, LyapunovCurve):
-        header, rows = _curve_rows(payload)
-    elif isinstance(payload, SensitivityResult):
-        header, rows = _sensitivity_rows(payload)
-    else:
-        raise SpecError(f"no CSV schema for payload type {type(payload).__name__}")
+    """Write one CSV document for the payload; returns the data row count."""
+    schema = _schema_of(payload, "CSV")
+    rows = schema.rows(payload)
     with _sink(destination) as out:
-        out.write(header + "\n" + "".join(rows))
+        out.write(schema.header + "\n" + "".join(rows))
     return len(rows)
 
 
-def _settings_of(payload) -> dict:
-    """The exact input parameters behind a payload, echoed into every artifact."""
-    if isinstance(payload, Orbit):
-        return {
-            "v0": payload.params.v0,
-            "kj": payload.params.kj,
-            "k0": payload.k0,
-            "n": payload.n,
-        }
-    if isinstance(payload, DiagramPayload):
-        return {
-            "v0": payload.params.v0,
-            "kj": payload.params.kj,
-            "n": len(payload.samples),
-        }
-    if isinstance(payload, BifurcationScan):
-        grid = payload.v0_grid
-        return {
-            "v0_min": grid[0] if grid else None,
-            "v0_max": grid[-1] if grid else None,
-            "steps": len(grid),
-            "k0": payload.settings.k0,
-            "n_total": payload.settings.n_total,
-            "n_keep": payload.settings.n_keep,
-            "tolerance": payload.settings.tolerance,
-            "max_period": payload.settings.max_period,
-        }
-    if isinstance(payload, LyapunovCurve):
-        grid = payload.v0_grid
-        return {
-            "v0_min": grid[0] if grid else None,
-            "v0_max": grid[-1] if grid else None,
-            "steps": len(grid),
-            "k0": payload.settings.k0,
-            "n": payload.settings.n,
-            "n_transient": payload.settings.n_transient,
-        }
-    if isinstance(payload, SensitivityResult):
-        a, b = payload.orbit_a, payload.orbit_b
-        return {
-            "v0": a.params.v0,
-            "kj": a.params.kj,
-            "k0": a.k0,
-            "delta": b.k0 - a.k0,
-            "n": a.n,
-            "threshold": payload.threshold,
-        }
-    raise SpecError(f"no settings schema for payload type {type(payload).__name__}")
-
-
-def _orbit_document(orbit: Orbit) -> dict:
+def envelope(kind: str, settings: dict, data: dict) -> dict:
+    """The layout of every JSON document: schema version, kind, settings, data."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "orbit",
-        "settings": _settings_of(orbit),
-        "data": {
-            "k": [s.k for s in orbit.states],
-            "q": [s.q for s in orbit.states],
-            "v": [s.v for s in orbit.states],
-            "escaped": orbit.escaped,
-        },
+        "kind": kind,
+        "settings": settings,
+        "data": data,
     }
 
 
-def _diagram_document(payload: DiagramPayload) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "diagram",
-        "settings": _settings_of(payload),
-        "data": {
-            "k": [s.k for s in payload.samples],
-            "q": [s.q for s in payload.samples],
-            "v": [s.v for s in payload.samples],
-        },
-    }
-
-
-def _scan_document(scan: BifurcationScan) -> dict:
-    grid = scan.v0_grid
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bifurcation-scan",
-        "settings": _settings_of(scan),
-        "data": {
-            "v0": list(grid),
-            "k0": list(scan.k0_values),
-            "detected_period": list(scan.detected_periods),
-            "escaped": list(scan.escaped),
-            "k": [[s.k for s in states] for states in scan.samples],
-            "q": [[s.q for s in states] for states in scan.samples],
-            "v": [[s.v for s in states] for states in scan.samples],
-        },
-    }
-
-
-def _curve_document(curve: LyapunovCurve) -> dict:
-    grid = curve.v0_grid
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "lyapunov-curve",
-        "settings": _settings_of(curve),
-        "data": {
-            "v0": list(grid),
-            "lambda": list(curve.lambdas),
-            "n_terms": list(curve.n_terms),
-            "skipped_terms": list(curve.skipped_terms),
-        },
-    }
-
-
-def _sensitivity_document(result: SensitivityResult) -> dict:
-    a, b = result.orbit_a, result.orbit_b
-    m = len(result.separation)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sensitivity",
-        "settings": _settings_of(result),
-        "data": {
-            "k_a": [s.k for s in a.states[:m]],
-            "k_b": [s.k for s in b.states[:m]],
-            "separation": list(result.separation),
-            "first_divergence_index": result.first_divergence_index,
-        },
-    }
+def _document(payload) -> dict:
+    schema = _schema_of(payload, "JSON")
+    return envelope(schema.kind, schema.settings(payload), schema.data(payload))
 
 
 def _json_text(obj, depth: int) -> str:
@@ -310,19 +284,7 @@ def _json_text(obj, depth: int) -> str:
 
 def write_json(payload, destination) -> int:
     """Write one JSON document for the payload; returns the byte count."""
-    if isinstance(payload, Orbit):
-        doc = _orbit_document(payload)
-    elif isinstance(payload, DiagramPayload):
-        doc = _diagram_document(payload)
-    elif isinstance(payload, BifurcationScan):
-        doc = _scan_document(payload)
-    elif isinstance(payload, LyapunovCurve):
-        doc = _curve_document(payload)
-    elif isinstance(payload, SensitivityResult):
-        doc = _sensitivity_document(payload)
-    else:
-        raise SpecError(f"no JSON schema for payload type {type(payload).__name__}")
-    text = _json_text(doc, 0) + "\n"
+    text = _json_text(_document(payload), 0) + "\n"
     with _sink(destination) as out:
         out.write(text)
     # json escapes every non-ASCII character, so characters are bytes.
@@ -453,18 +415,17 @@ class _Panel:
         )
         return parts
 
-    def render(self) -> str:
-        clip = (
-            f'<clipPath id="{self.clip_id}"><rect x="{self.left:.2f}" '
+    def lines(self) -> list[str]:
+        """The panel's lines of the SVG document: clip path, clipped elements, frame."""
+        return [
+            f'<defs><clipPath id="{self.clip_id}"><rect x="{self.left:.2f}" '
             f'y="{self.top:.2f}" width="{self.width:.2f}" '
-            f'height="{self.height:.2f}"/></clipPath>'
-        )
-        body = "\n".join(self.elements)
-        frame = "\n".join(self.frame())
-        return (
-            f"<defs>{clip}</defs>\n"
-            f'<g clip-path="url(#{self.clip_id})">\n{body}\n</g>\n{frame}'
-        )
+            f'height="{self.height:.2f}"/></clipPath></defs>',
+            f'<g clip-path="url(#{self.clip_id})">',
+            *(self.elements or [""]),
+            "</g>",
+            *self.frame(),
+        ]
 
 
 def _panel_slots(spec: PlotSpec, count: int):
@@ -477,33 +438,35 @@ def _panel_slots(spec: PlotSpec, count: int):
 
 def _make_panel(spec, slot, x_range, y_range, x_label, y_label, index):
     left, top, width, height = slot
-    if spec.x_range is not None:
-        x_range = _checked_range(spec.x_range, "x")
-    if spec.y_range is not None:
-        y_range = _checked_range(spec.y_range, "y")
-    _checked_range(x_range, "x")
-    _checked_range(y_range, "y")
+    x_range = _checked_range(x_range if spec.x_range is None else spec.x_range, "x")
+    y_range = _checked_range(y_range if spec.y_range is None else spec.y_range, "y")
     return _Panel(left, top, width, height, x_range, y_range, x_label, y_label, f"clip{index}")
+
+
+def _layout(spec: PlotSpec, *axes) -> list[_Panel]:
+    """Panels side by side, one per (x_range, y_range, x_label, y_label)."""
+    slots = _panel_slots(spec, len(axes))
+    return [
+        _make_panel(spec, slot, *ax, i) for i, (slot, ax) in enumerate(zip(slots, axes))
+    ]
 
 
 def _diagram_panels(spec: PlotSpec, payload: DiagramPayload) -> list[_Panel]:
     samples = payload.samples
     kj = payload.params.kj
-    ks = [s.k for s in samples]
-    qs = [s.q for s in samples]
+    x_k = _auto_range([0.0, kj])
+    q_range = _auto_range([0.0, *[s.q for s in samples]])
     # Velocity diverges as k -> 0; range over the moderate-density branch and
     # let the clip path absorb the free-flow spike.
-    vs_ranged = [s.v for s in samples if s.k >= 0.02 * kj]
-    slots = list(_panel_slots(spec, 3))
-    x_k = _auto_range([0.0, kj])
-    p1 = _make_panel(spec, slots[0], x_k, _auto_range([0.0, *qs]), "density k", "flow q", 0)
-    p1.polyline([(s.k, s.q) for s in samples], _CURVE_COLOR)
-    v_range = _auto_range([0.0, *vs_ranged])
-    p2 = _make_panel(spec, slots[1], x_k, v_range, "density k", "velocity v", 1)
-    p2.polyline([(s.k, s.v) for s in samples], _CURVE_COLOR)
-    p3 = _make_panel(
-        spec, slots[2], _auto_range([0.0, *qs]), v_range, "flow q", "velocity v", 2
+    v_range = _auto_range([0.0, *[s.v for s in samples if s.k >= 0.02 * kj]])
+    p1, p2, p3 = _layout(
+        spec,
+        (x_k, q_range, "density k", "flow q"),
+        (x_k, v_range, "density k", "velocity v"),
+        (q_range, v_range, "flow q", "velocity v"),
     )
+    p1.polyline([(s.k, s.q) for s in samples], _CURVE_COLOR)
+    p2.polyline([(s.k, s.v) for s in samples], _CURVE_COLOR)
     p3.polyline([(s.q, s.v) for s in samples], _CURVE_COLOR)
     return [p1, p2, p3]
 
@@ -512,14 +475,16 @@ def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
     p = orbit.params
     curve = diagram_samples(p, 256)
     path = cobweb_path(orbit) if len(orbit.states) >= 2 else []
-    orbit_vs = [s.v for s in orbit.states]
-    orbit_qs = [s.q for s in orbit.states]
-    slots = list(_panel_slots(spec, 3))
-
-    flow_values = [s.q for s in curve] + [y for _, y in path]
+    curve_qs = [s.q for s in curve]
     x_k = _auto_range([0.0, p.kj])
-    p1 = _make_panel(
-        spec, slots[0], x_k, _auto_range([0.0, *flow_values]), "density k", "flow q", 0
+    flow_range = _auto_range([0.0, *curve_qs, *[y for _, y in path]])
+    q_range = _auto_range([0.0, *curve_qs, *[s.q for s in orbit.states]])
+    v_range = (0.0, 1.08 * max([p.v0, *[s.v for s in orbit.states], 1e-9]))
+    p1, p2, p3 = _layout(
+        spec,
+        (x_k, flow_range, "density k", "flow q"),
+        (x_k, v_range, "density k", "velocity v"),
+        (q_range, v_range, "flow q", "velocity v"),
     )
     p1.polyline([(s.k, s.q) for s in curve], _CURVE_COLOR)
     if spec.show_identity:
@@ -530,15 +495,8 @@ def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
     if spec.show_fixed_point and p.v0 > 0.0:
         k_star = fixed_point(p)
         p1.dots([(k_star, k_star)], "#000000", radius=2.6)
-
-    v_top = max([p.v0, *orbit_vs, 1e-9])
-    v_range = (0.0, 1.08 * v_top)
-    p2 = _make_panel(spec, slots[1], x_k, v_range, "density k", "velocity v", 1)
     p2.polyline([(s.k, s.v) for s in curve], _CURVE_COLOR)
     p2.dots([(s.k, s.v) for s in orbit.states], _MARKER_COLOR)
-
-    q_range = _auto_range([0.0, *[s.q for s in curve], *orbit_qs])
-    p3 = _make_panel(spec, slots[2], q_range, v_range, "flow q", "velocity v", 2)
     p3.polyline([(s.q, s.v) for s in curve], _CURVE_COLOR)
     p3.dots([(s.q, s.v) for s in orbit.states], _MARKER_COLOR)
     return [p1, p2, p3]
@@ -549,12 +507,9 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
         raise SpecError(f"bifurcation y_field must be k, q or v, got {spec.y_field!r}")
     ordinate = attrgetter(spec.y_field)
     columns = [list(map(ordinate, states)) for states in scan.samples]
-    slots = list(_panel_slots(spec, 1))
     x_range = _auto_range(list(scan.v0_grid), pad=0.02)
     y_range = _auto_range([y for ys in columns for y in ys])
-    panel = _make_panel(
-        spec, slots[0], x_range, y_range, "optimum velocity v0", spec.y_field, 0
-    )
+    [panel] = _layout(spec, (x_range, y_range, "optimum velocity v0", spec.y_field))
     if spec.show_threshold:
         panel.vline(2.0, _PATH_COLOR)
     for v0, ys in zip(scan.v0_grid, columns):
@@ -564,16 +519,9 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
 
 def _lyapunov_panels(spec: PlotSpec, curve: LyapunovCurve) -> list[_Panel]:
     finite = [l for l in curve.lambdas if l is not None]
-    slots = list(_panel_slots(spec, 1))
-    panel = _make_panel(
-        spec,
-        slots[0],
-        _auto_range(list(curve.v0_grid), pad=0.02),
-        _auto_range([0.0, *finite]),
-        "optimum velocity v0",
-        "Lyapunov exponent",
-        0,
-    )
+    x_range = _auto_range(list(curve.v0_grid), pad=0.02)
+    y_range = _auto_range([0.0, *finite])
+    [panel] = _layout(spec, (x_range, y_range, "optimum velocity v0", "Lyapunov exponent"))
     panel.hline(0.0, _GUIDE_COLOR)
     if spec.show_threshold:
         panel.vline(2.0, _PATH_COLOR)
@@ -593,49 +541,57 @@ def _sensitivity_panels(spec: PlotSpec, result: SensitivityResult) -> list[_Pane
     idx = list(range(m))
     ka = [result.orbit_a.states[i].k for i in range(m)]
     kb = [result.orbit_b.states[i].k for i in range(m)]
-    slots = list(_panel_slots(spec, 2))
     x_range = _auto_range([0.0, max(m - 1, 1)], pad=0.02)
-    p1 = _make_panel(
-        spec, slots[0], x_range, _auto_range([*ka, *kb]), "iteration", "density k", 0
+    sep_range = _auto_range([0.0, *result.separation, result.threshold])
+    p1, p2 = _layout(
+        spec,
+        (x_range, _auto_range([*ka, *kb]), "iteration", "density k"),
+        (x_range, sep_range, "iteration", "separation"),
     )
     p1.polyline(list(zip(idx, ka)), _CURVE_COLOR, width=1.1)
     p1.polyline(list(zip(idx, kb)), _PATH_COLOR, width=1.1)
-    p2 = _make_panel(
-        spec,
-        slots[1],
-        x_range,
-        _auto_range([0.0, *result.separation, result.threshold]),
-        "iteration",
-        "separation",
-        1,
-    )
     p2.hline(result.threshold, _GUIDE_COLOR)
     p2.polyline(list(zip(idx, result.separation)), _MARKER_COLOR, width=1.1)
     return [p1, p2]
 
 
-_KIND_PAYLOADS = {
-    KIND_DIAGRAMS: (DiagramPayload, _diagram_panels),
-    KIND_COBWEB: (Orbit, _cobweb_panels),
-    KIND_BIFURCATION: (BifurcationScan, _bifurcation_panels),
-    KIND_LYAPUNOV: (LyapunovCurve, _lyapunov_panels),
-    KIND_SENSITIVITY: (SensitivityResult, _sensitivity_panels),
+_SCHEMAS = {
+    Orbit: _Schema(
+        "orbit", KIND_COBWEB, "i,k,q,v,escaped",
+        _orbit_rows, _orbit_settings, _orbit_data, _cobweb_panels,
+    ),
+    DiagramPayload: _Schema(
+        "diagram", KIND_DIAGRAMS, "k,q,v",
+        _diagram_rows, _diagram_settings, _diagram_data, _diagram_panels,
+    ),
+    BifurcationScan: _Schema(
+        "bifurcation-scan", KIND_BIFURCATION, "v0,sample_index,k,q,v,detected_period",
+        _scan_rows, _grid_settings, _scan_data, _bifurcation_panels,
+    ),
+    LyapunovCurve: _Schema(
+        "lyapunov-curve", KIND_LYAPUNOV, "v0,lambda,n_terms,skipped_terms",
+        _curve_rows, _grid_settings, _curve_data, _lyapunov_panels,
+    ),
+    SensitivityResult: _Schema(
+        "sensitivity", KIND_SENSITIVITY, "i,k_a,k_b,separation",
+        _sensitivity_rows, _sensitivity_settings, _sensitivity_data, _sensitivity_panels,
+    ),
 }
 
 
 def render_svg(spec: PlotSpec, payload) -> str:
     """Render the payload as a standalone SVG document string."""
-    if spec.kind not in _KIND_PAYLOADS:
+    expected = next((t for t, s in _SCHEMAS.items() if s.plot == spec.kind), None)
+    if expected is None:
         raise SpecError(f"unknown plot kind {spec.kind!r}")
-    expected, builder = _KIND_PAYLOADS[spec.kind]
     if not isinstance(payload, expected):
         raise SpecError(
             f"plot kind {spec.kind!r} needs a {expected.__name__} payload, "
             f"got {type(payload).__name__}"
         )
-    panels = builder(spec, payload)
-    settings = json.dumps(_settings_of(payload))
-    parts = [
+    schema = _SCHEMAS[expected]
+    settings = json.dumps(schema.settings(payload))
+    lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
         f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}" '
@@ -644,10 +600,12 @@ def render_svg(spec: PlotSpec, payload) -> str:
         f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
     ]
     if spec.title:
-        parts.append(
+        lines.append(
             f'<text x="{spec.width / 2:.2f}" y="22" font-size="14" '
             f'text-anchor="middle">{_escape_xml(spec.title)}</text>'
         )
-    parts.extend(panel.render() for panel in panels)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    for panel in schema.panels(spec, payload):
+        lines += panel.lines()
+    lines += ["</svg>", ""]
+    # One join builds the whole document; the lines are references, not copies.
+    return "\n".join(lines)

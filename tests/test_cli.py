@@ -2,16 +2,20 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import os
+import runpy
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from greenberg_dynamics import cli
 from greenberg_dynamics.cli import main
 
-REPRO_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "repro_sha256.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPRO_SHA256 = PERFBENCH / "repro_sha256.json"
 
 # Exit codes are asserted literally: 0 success, 2 usage, 3 domain, 4 I/O.
 
@@ -226,3 +230,53 @@ class TestReproCommand:
             if hashlib.sha256(written[name].read_bytes()).hexdigest() != digest
         ]
         assert changed == []
+
+    def test_subcommands_rebuild_chaotic_b_and_sensitivity(
+        self, repro_out, tmp_path, monkeypatch
+    ):
+        calls = {}
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.setdefault(name, []).append((args, kwargs))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("iterate", "sensitivity_experiment"):
+            monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        out = str(tmp_path)
+        assert run_cli("orbit", "--v0", "2.585", "--k0", "0.101", "--out", out) == 0
+        assert run_cli("cobweb", "--v0", "2.585", "--k0", "0.101", "--out", out) == 0
+        assert run_cli("sensitivity", "--v0", "2.585", "--k0", "0.1", "--out", out) == 0
+        for mine, theirs in [
+            ("orbit.csv", "chaotic_b_orbit.csv"),
+            ("orbit.json", "chaotic_b_orbit.json"),
+            ("cobweb.svg", "chaotic_b_cobweb.svg"),
+            ("sensitivity.csv", "sensitivity.csv"),
+            ("sensitivity.json", "sensitivity.json"),
+            ("sensitivity.svg", "sensitivity.svg"),
+        ]:
+            assert (tmp_path / mine).read_bytes() == (repro_out / theirs).read_bytes(), mine
+        manifest = json.loads((repro_out / "manifest.json").read_text())
+        settings = {e["name"]: e["settings"] for e in manifest["experiments"]}
+        # the manifest records what the library was called with, not the artifact echo
+        assert len(calls["iterate"]) == 2
+        for (k0, p, n), kwargs in calls["iterate"]:
+            assert kwargs == {}
+            assert settings["chaotic_b"] == {"v0": p.v0, "kj": p.kj, "k0": k0, "n": n}
+        [((k0, delta, p), kwargs)] = calls["sensitivity_experiment"]
+        assert settings["sensitivity"] == {
+            "v0": p.v0, "kj": p.kj, "k0": k0, "delta": delta, **kwargs
+        }
+        assert set(kwargs) == {"n", "threshold"}
+
+
+def test_every_traced_site_resolves():
+    # perfbench/tracing.py wraps these (module, attribute) bindings by name;
+    # it is read here, never written
+    sites = runpy.run_path(str(PERFBENCH / "tracing.py"))["SITES"]
+    assert sites
+    for module, attr, _, _ in sites:
+        target = importlib.import_module(f"greenberg_dynamics.{module}")
+        assert callable(getattr(target, attr, None)), f"{module}.{attr}"

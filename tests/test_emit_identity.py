@@ -8,6 +8,7 @@ bifurcation dot from a flat (v0, y) point list with the panel's pixel
 mapping written out. Every document must agree byte for byte.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -134,8 +135,10 @@ def ref_bifurcation_panels(spec, scan):
 
 def ref_render_bifurcation(spec, scan):
     """render_svg with the reference panel builder in place of the bulk one."""
-    table = {KIND_BIFURCATION: (emit.BifurcationScan, ref_bifurcation_panels)}
-    with mock.patch.dict(emit._KIND_PAYLOADS, table):
+    schema = emit._SCHEMAS[emit.BifurcationScan]
+    reference = dataclasses.replace(schema, panels=ref_bifurcation_panels)
+    table = {emit.BifurcationScan: reference}
+    with mock.patch.dict(emit._SCHEMAS, table):
         return render_svg(spec, scan)
 
 
@@ -294,16 +297,16 @@ def test_curve_sensitivity_and_diagram_csv_match_reference():
 
 def test_every_payload_json_matches_indented_dumps():
     p = TrafficParams(v0=2.25)
-    for payload, document in [
-        (bifurcation_scan(2.2, 2.3, 3, n_total=60, n_keep=8), emit._scan_document),
-        (iterate(0.1, TrafficParams(v0=1.25), 20), emit._orbit_document),
-        (lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=50), emit._curve_document),
-        (sensitivity_experiment(0.1, 1e-3, p, n=30), emit._sensitivity_document),
-        (DiagramPayload(p, tuple(diagram_samples(p, 20))), emit._diagram_document),
+    for payload in [
+        bifurcation_scan(2.2, 2.3, 3, n_total=60, n_keep=8),
+        iterate(0.1, TrafficParams(v0=1.25), 20),
+        lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=50),
+        sensitivity_experiment(0.1, 1e-3, p, n=30),
+        DiagramPayload(p, tuple(diagram_samples(p, 20))),
     ]:
         out = io.StringIO()
         count = write_json(payload, out)
-        expected = json.dumps(document(payload), indent=2, allow_nan=False) + "\n"
+        expected = json.dumps(emit._document(payload), indent=2, allow_nan=False) + "\n"
         assert out.getvalue() == expected
         assert count == len(expected.encode("utf-8"))
 
