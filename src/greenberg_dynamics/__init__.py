@@ -18,7 +18,6 @@ from .analysis import (
     fixed_point,
     lyapunov_curve,
     lyapunov_exponent,
-    period_doubling_threshold,
 )
 from .dynamics import (
     Orbit,
@@ -28,7 +27,6 @@ from .dynamics import (
     map_derivative,
     sensitivity_experiment,
     step,
-    velocity_sequence,
 )
 from .errors import (
     ArgumentError,
@@ -42,7 +40,6 @@ from .emit import DiagramPayload, PlotSpec, render_svg, write_csv, write_json
 from .model import (
     TrafficParams,
     TrafficState,
-    density_of_flow_velocity,
     diagram_samples,
     flow_of_density,
     optimum_point,
@@ -72,7 +69,6 @@ __all__ = [
     "bifurcation_scan",
     "classify_fixed_point",
     "cobweb_path",
-    "density_of_flow_velocity",
     "detect_period",
     "diagram_samples",
     "exponential_stability_check",
@@ -83,13 +79,11 @@ __all__ = [
     "lyapunov_exponent",
     "map_derivative",
     "optimum_point",
-    "period_doubling_threshold",
     "render_svg",
     "sensitivity_experiment",
     "state_of_density",
     "step",
     "velocity_of_density",
-    "velocity_sequence",
     "write_csv",
     "write_json",
 ]

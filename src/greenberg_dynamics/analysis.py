@@ -148,11 +148,6 @@ def classify_fixed_point(p: TrafficParams) -> FixedPointReport:
     )
 
 
-def period_doubling_threshold() -> float:
-    """The parameter value where the multiplier reaches -1 and a 2-cycle is born."""
-    return 2.0
-
-
 def _deviation_factor(k: float, k_star: float, v0: float) -> float:
     """(f(k) - k*) / (k - k*): the factor one map step scales a deviation from k* by.
 
@@ -322,38 +317,59 @@ def bifurcation_scan(
 def _lyapunov_terms(
     p: TrafficParams, k0: float, n: int, n_transient: int
 ) -> tuple[float, int, int]:
-    """Average ln|f'| over n post-transient orbit points.
+    """Average ln|f'| over the n orbit points that follow n_transient steps from k0.
 
-    Returns (estimate, terms used, terms skipped). Raises EscapeError if the
-    orbit leaves (0, kj] before the average is complete. When every term is
-    singular (a superstable orbit pinned to the map maximum) the estimate is
-    -inf, the true limit value.
+    Returns (estimate, terms used, terms skipped). Raises EscapeError if one
+    of the n_transient + n - 1 steps the average needs leaves (0, kj]; the
+    successor of the last averaged point is never computed. When every term
+    is singular (a superstable orbit pinned to the map maximum) the estimate
+    is -inf, the true limit value.
+
+    Two streaming loops, no per-point lists: the transient loop only steps,
+    the averaging loop takes ln(kj / k) once per point for both the term
+    v0 * (ln(kj / k) - 1) and the step. The last term is peeled off so that
+    no step follows it.
     """
     if not (0.0 < k0 < p.kj):
         raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
-    densities, ratios, escaped = _trajectory(k0, p, n_transient + n - 1)
-    if escaped is not None:
-        index = len(densities)
-        if index <= n_transient:
+    v0, kj, log, floor = p.v0, p.kj, math.log, SINGULARITY_FLOOR
+    k = k0
+    for index in range(1, n_transient + 1):
+        k = v0 * k * log(kj / k)
+        if not (0.0 < k <= kj):
             raise EscapeError(
-                f"orbit left (0, {p.kj}] during transient step {index} at v0={p.v0}"
+                f"orbit left (0, {kj}] during transient step {index} at v0={v0}"
             )
-        raise EscapeError(
-            f"orbit left (0, {p.kj}] after {index - n_transient} averaged terms at v0={p.v0}"
-        )
-    v0, log = p.v0, math.log
     acc = 0.0
     skipped = 0
-    for ratio in ratios[n_transient:]:
+    for terms in range(1, n):
+        ratio = log(kj / k)
         slope_size = abs(v0 * (ratio - 1.0))
-        if slope_size < SINGULARITY_FLOOR:
+        if slope_size < floor:
             skipped += 1
         else:
             acc += log(slope_size)
+        k = v0 * k * ratio
+        if not (0.0 < k <= kj):
+            raise EscapeError(
+                f"orbit left (0, {kj}] after {terms} averaged terms at v0={v0}"
+            )
+    slope_size = abs(v0 * (log(kj / k) - 1.0))
+    if slope_size < floor:
+        skipped += 1
+    else:
+        acc += log(slope_size)
     used = n - skipped
     if used == 0:
         return -math.inf, 0, skipped
     return acc / used, used, skipped
+
+
+def _check_lyapunov_lengths(n: int, n_transient: int) -> None:
+    if n < 1000:
+        raise ArgumentError(f"need at least 1000 averaged terms, got {n}")
+    if n_transient < 0:
+        raise ArgumentError(f"transient length must be non-negative, got {n_transient}")
 
 
 def lyapunov_exponent(
@@ -367,10 +383,7 @@ def lyapunov_exponent(
     At a superstable parameter the whole orbit sits where f' = 0 and the
     exponent diverges; -inf is returned in that case.
     """
-    if n < 1000:
-        raise ArgumentError(f"need at least 1000 averaged terms, got {n}")
-    if n_transient < 0:
-        raise ArgumentError(f"transient length must be non-negative, got {n_transient}")
+    _check_lyapunov_lengths(n, n_transient)
     estimate, _, _ = _lyapunov_terms(p, k0, n, n_transient)
     return estimate
 
@@ -384,10 +397,7 @@ def lyapunov_curve(
     n_transient: int = DEFAULT_LYAPUNOV_TRANSIENT,
 ) -> LyapunovCurve:
     """Lyapunov estimates over an ascending v0 grid; escapes become missing points."""
-    if n < 1000:
-        raise ArgumentError(f"need at least 1000 averaged terms, got {n}")
-    if n_transient < 0:
-        raise ArgumentError(f"transient length must be non-negative, got {n_transient}")
+    _check_lyapunov_lengths(n, n_transient)
     grid = _parameter_grid(v0_min, v0_max, steps)
 
     def curve_point(v0: float) -> tuple[float | None, int, int]:

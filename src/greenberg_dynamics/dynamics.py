@@ -1,11 +1,14 @@
 """Discrete iteration of the flow-density map and orbit-level experiments.
 
 The advance rule identifies the next density with the current flow:
-k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built. Every
-map loop in the package, here and in the analysis sweeps, runs through
-``_trajectory``: it checks the domain once and takes one logarithm per step,
-from which each caller derives the flow v0 * k * ln(kj / k), the velocity
-v0 * ln(kj / k) and the slope v0 * (ln(kj / k) - 1).
+k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built. The
+package has two map loops, each taking one logarithm ln(kj / k) per step.
+``_trajectory`` here keeps every density and ratio: orbits, sensitivity
+runs and the bifurcation scan's attractor tails derive the flow
+v0 * k * ln(kj / k) and the velocity v0 * ln(kj / k) from them.
+``analysis._lyapunov_terms`` streams instead: it keeps no point and folds
+the slope v0 * (ln(kj / k) - 1) into a running sum as it steps, because the
+Lyapunov sweep reads each of its 11 000 points per grid value only once.
 """
 
 from __future__ import annotations
@@ -127,11 +130,6 @@ def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
         )
     states = _states(densities, ratios, p)
     return Orbit(params=p, k0=k0, n=n, states=states, escaped=escaped)
-
-
-def velocity_sequence(orbit: Orbit) -> tuple[float, ...]:
-    """Velocities v0 * ln(kj / k_i), aligned index-by-index with the orbit."""
-    return tuple(s.v for s in orbit.states)
 
 
 def map_derivative(k: float, p: TrafficParams) -> float:

@@ -66,13 +66,6 @@ def flow_of_density(k: float, p: TrafficParams) -> float:
     return p.v0 * k * math.log(p.kj / k)
 
 
-def density_of_flow_velocity(q: float, v: float) -> float:
-    """Density recovered from flow and velocity through q = v * k."""
-    if not (v > 0.0):
-        raise DomainError(f"velocity must be positive to recover density, got {v}")
-    return q / v
-
-
 def state_of_density(k: float, p: TrafficParams) -> TrafficState:
     """The full diagram state at an in-domain density."""
     return TrafficState(k=k, q=flow_of_density(k, p), v=velocity_of_density(k, p))

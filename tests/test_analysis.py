@@ -17,7 +17,6 @@ from greenberg_dynamics.analysis import (
     fixed_point,
     lyapunov_curve,
     lyapunov_exponent,
-    period_doubling_threshold,
 )
 from greenberg_dynamics.dynamics import map_derivative
 from greenberg_dynamics.errors import ArgumentError, DomainError, EscapeError
@@ -129,13 +128,6 @@ class TestClassifyFixedPoint:
 
 
 class TestPeriodDoublingThreshold:
-    def test_value(self):
-        assert period_doubling_threshold() == 2.0
-
-    def test_consistent_with_the_multiplier(self):
-        v0 = period_doubling_threshold()
-        assert classify_fixed_point(TrafficParams(v0=v0)).multiplier == -1.0
-
     def test_period_transitions_around_the_threshold(self):
         below = bifurcation_scan(1.95, 1.95, 1, n_total=2000, n_keep=200)
         above = bifurcation_scan(2.05, 2.05, 1, n_total=2000, n_keep=200)

@@ -12,7 +12,6 @@ from greenberg_dynamics.dynamics import (
     map_derivative,
     sensitivity_experiment,
     step,
-    velocity_sequence,
 )
 from greenberg_dynamics.errors import ArgumentError, DomainError, EscapeWarning
 from greenberg_dynamics.model import (
@@ -133,20 +132,11 @@ class TestIterate:
 
 
 class TestVelocitySequence:
-    def test_constant_at_the_fixed_point(self):
-        orbit = iterate(math.exp(-2.0 / 3.0), TrafficParams(v0=1.5), 10)
-        for v in velocity_sequence(orbit):
-            assert v == pytest.approx(1.0, abs=1e-12)
-
     def test_two_cycle_velocities(self):
         orbit = iterate(0.35, TrafficParams(v0=2.25), 300)
-        tail = sorted(velocity_sequence(orbit)[-2:])
+        tail = sorted(s.v for s in orbit.states[-2:])
         assert tail[0] == pytest.approx(0.4272, abs=1e-4)
         assert tail[1] == pytest.approx(2.3409, abs=1e-4)
-
-    def test_matches_orbit_states(self):
-        orbit = iterate(0.2, TrafficParams(v0=1.1), 20)
-        assert velocity_sequence(orbit) == tuple(s.v for s in orbit.states)
 
 
 class TestMapDerivative:

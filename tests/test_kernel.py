@@ -1,10 +1,11 @@
-"""Bit-identity of the shared map kernel against a plain reference loop.
+"""Bit-identity of the two map loops against a plain reference loop.
 
-``iterate``, ``_attractor_tail`` and ``_lyapunov_terms`` all run on one
-kernel that takes a single ln(kj / k) per step. The reference below is the
-straightforward loop over the model formulas (flow, velocity and slope each
-computing their own logarithm); every float must agree bit for bit, which
-``float.hex`` makes explicit.
+``iterate`` and ``_attractor_tail`` run on ``dynamics._trajectory``, and
+``_lyapunov_terms`` on its own streaming loop; each takes a single
+ln(kj / k) per step. The reference below is the straightforward loop over
+the model formulas (flow, velocity and slope each computing their own
+logarithm); every float must agree bit for bit, which ``float.hex`` makes
+explicit, and every escape must be reported at the same step.
 """
 
 import math
@@ -138,6 +139,34 @@ def test_lyapunov_terms_match_reference(v0, kj, fraction, n, n_transient):
     assert estimate.hex() == expected[0].hex()
     assert (used, skipped) == expected[1:]
     assert used + skipped == n
+
+
+# At v0 = 2.75 the orbit from each k0 first leaves (0, 1] at this step.
+ESCAPE_STEP = {0.024: 8, 0.314: 1}
+
+
+@pytest.mark.parametrize(
+    "k0, n, n_transient, outcome",
+    [
+        (0.024, 3, 5, None),  # the escape would follow the last averaged point
+        (0.024, 4, 5, "after 3 averaged terms"),
+        (0.024, 2, 7, "after 1 averaged terms"),
+        (0.024, 2, 8, "during transient step 8"),
+        (0.314, 1, 0, None),  # one term from k0 alone, though step 1 escapes
+    ],
+)
+def test_lyapunov_terms_at_the_escape_boundaries(k0, n, n_transient, outcome):
+    p = TrafficParams(v0=2.75)
+    assert ref_orbit(k0, p, 20)[1] == ESCAPE_STEP[k0]
+    expected = ref_lyapunov(k0, p, n, n_transient)
+    if outcome is not None:
+        assert expected == f"orbit left (0, 1.0] {outcome} at v0=2.75"
+        with pytest.raises(EscapeError) as raised:
+            _lyapunov_terms(p, k0, n, n_transient)
+        assert str(raised.value) == expected
+        return
+    estimate, used, skipped = _lyapunov_terms(p, k0, n, n_transient)
+    assert (estimate.hex(), used, skipped) == (expected[0].hex(), *expected[1:])
 
 
 @given(st.integers(1, 2000), st.integers(0, 500))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from greenberg_dynamics.errors import ArgumentError, DomainError
 from greenberg_dynamics.model import (
     TrafficParams,
-    density_of_flow_velocity,
     diagram_samples,
     flow_of_density,
     optimum_point,
@@ -120,23 +119,6 @@ class TestFlowOfDensity:
         p = TrafficParams(v0=v0)
         q = flow_of_density(k, p)
         assert abs(q - k * velocity_of_density(k, p)) < 1e-12
-
-
-class TestDensityOfFlowVelocity:
-    def test_zero_flow(self):
-        assert density_of_flow_velocity(0.0, 1.0) == 0.0
-
-    def test_division_identity(self):
-        assert density_of_flow_velocity(0.36788, 1.0) == 0.36788
-
-    def test_congested_sink_point(self):
-        # at the v0=1.25 attractor the normalized values satisfy q = k, v = 1
-        assert density_of_flow_velocity(0.4493, 1.0) == 0.4493
-
-    @pytest.mark.parametrize("v", [0.0, -1.0])
-    def test_rejects_nonpositive_velocity(self, v):
-        with pytest.raises(DomainError):
-            density_of_flow_velocity(0.3, v)
 
 
 class TestOptimumPoint:
