@@ -26,7 +26,6 @@ from .dynamics import (
     iterate,
     map_derivative,
     sensitivity_experiment,
-    step,
 )
 from .errors import (
     ArgumentError,
@@ -82,7 +81,6 @@ __all__ = [
     "render_svg",
     "sensitivity_experiment",
     "state_of_density",
-    "step",
     "velocity_of_density",
     "write_csv",
     "write_json",

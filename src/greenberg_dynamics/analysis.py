@@ -9,7 +9,10 @@ are recorded per grid point instead of raised.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import cycle, islice
 from typing import Callable, Sequence
 
 from .dynamics import _states, _trajectory
@@ -32,6 +35,10 @@ DEFAULT_PERIOD_TOLERANCE = 1e-6
 DEFAULT_MAX_PERIOD = 64
 DEFAULT_LYAPUNOV_TERMS = 10_000
 DEFAULT_LYAPUNOV_TRANSIENT = 1_000
+
+# Steps between the densities _lyapunov_terms saves to spot an exact float
+# cycle; cycles up to this length are found.
+_CYCLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -329,36 +336,92 @@ def _lyapunov_terms(
     the averaging loop takes ln(kj / k) once per point for both the term
     v0 * (ln(kj / k) - 1) and the step. The last term is peeled off so that
     no step follows it.
+
+    Both loops compare each density with one saved every _CYCLE_BLOCK steps.
+    A float orbit that returns to the saved density exactly is periodic from
+    there on, because the step and the term are pure functions of k; and it
+    never escapes, because every point of the cycle was already checked. The
+    transient then skips whole cycles, and the averaging loop hands the rest
+    of the sum to _replay_cycle, which adds the same terms in the same order
+    as stepping would, so the result is bit-identical. Stable orbits reach
+    such a cycle within a few thousand steps; chaotic ones keep stepping.
     """
     if not (0.0 < k0 < p.kj):
         raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
     v0, kj, log, floor = p.v0, p.kj, math.log, SINGULARITY_FLOOR
     k = k0
-    for index in range(1, n_transient + 1):
-        k = v0 * k * log(kj / k)
-        if not (0.0 < k <= kj):
-            raise EscapeError(
-                f"orbit left (0, {kj}] during transient step {index} at v0={v0}"
-            )
+    index = 0
+    while index < n_transient:
+        saved = k
+        block = min(_CYCLE_BLOCK, n_transient - index)
+        for step in range(1, block + 1):
+            k = v0 * k * log(kj / k)
+            if not (0.0 < k <= kj):
+                raise EscapeError(
+                    f"orbit left (0, {kj}] during transient step {index + step} at v0={v0}"
+                )
+            if k == saved:
+                index += (n_transient - index) // step * step
+                break
+        else:
+            index += block
     acc = 0.0
     skipped = 0
-    for terms in range(1, n):
-        ratio = log(kj / k)
-        slope_size = abs(v0 * (ratio - 1.0))
-        if slope_size < floor:
-            skipped += 1
-        else:
-            acc += log(slope_size)
-        k = v0 * k * ratio
-        if not (0.0 < k <= kj):
-            raise EscapeError(
-                f"orbit left (0, {kj}] after {terms} averaged terms at v0={v0}"
-            )
+    terms = 0
+    while terms < n - 1:
+        saved = k
+        block = min(_CYCLE_BLOCK, n - 1 - terms)
+        for step in range(1, block + 1):
+            ratio = log(kj / k)
+            slope_size = abs(v0 * (ratio - 1.0))
+            if slope_size < floor:
+                skipped += 1
+            else:
+                acc += log(slope_size)
+            k = v0 * k * ratio
+            if not (0.0 < k <= kj):
+                raise EscapeError(
+                    f"orbit left (0, {kj}] after {terms + step} averaged terms at v0={v0}"
+                )
+            if k == saved:
+                rest = n - terms - step
+                acc, replay_skipped = _replay_cycle(p, k, step, rest, acc)
+                return _mean(acc, n, skipped + replay_skipped)
+        terms += block
     slope_size = abs(v0 * (log(kj / k) - 1.0))
     if slope_size < floor:
         skipped += 1
     else:
         acc += log(slope_size)
+    return _mean(acc, n, skipped)
+
+
+def _replay_cycle(
+    p: TrafficParams, k: float, period: int, rest: int, acc: float
+) -> tuple[float, int]:
+    """Add the terms of the next rest points of the period-cycle through k to acc.
+
+    Computes the period terms once and adds them to acc one at a time, in
+    orbit order, exactly as the averaging loop would; sum() is not used,
+    because from Python 3.12 it compensates float sums and changes the bits.
+    Returns the new acc and the number of singular terms among the rest.
+    """
+    v0, kj, log = p.v0, p.kj, math.log
+    logs: list[float] = []  # ln|f'| of the regular points, in orbit order
+    regular: list[int] = []  # regular points among the first i + 1
+    for _ in range(period):
+        ratio = log(kj / k)
+        slope_size = abs(v0 * (ratio - 1.0))
+        if slope_size >= SINGULARITY_FLOOR:
+            logs.append(log(slope_size))
+        regular.append(len(logs))
+        k = v0 * k * ratio
+    cycles, part = divmod(rest, period)
+    adds = cycles * len(logs) + (regular[part - 1] if part else 0)
+    return reduce(operator.add, islice(cycle(logs), adds), acc), rest - adds
+
+
+def _mean(acc: float, n: int, skipped: int) -> tuple[float, int, int]:
     used = n - skipped
     if used == 0:
         return -math.inf, 0, skipped

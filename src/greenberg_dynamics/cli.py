@@ -60,6 +60,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
@@ -131,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid(p, 200)
     p.add_argument("--n", type=_positive_int, default=analysis.DEFAULT_LYAPUNOV_TERMS)
     p.add_argument(
-        "--transient", type=_positive_int, default=analysis.DEFAULT_LYAPUNOV_TRANSIENT
+        "--transient", type=_non_negative_int, default=analysis.DEFAULT_LYAPUNOV_TRANSIENT
     )
     add_out(p, "csv", "json", "svg")
 

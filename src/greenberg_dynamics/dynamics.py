@@ -2,13 +2,15 @@
 
 The advance rule identifies the next density with the current flow:
 k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built. The
-package has two map loops, each taking one logarithm ln(kj / k) per step.
-``_trajectory`` here keeps every density and ratio: orbits, sensitivity
+package has two map loops. ``_trajectory`` here takes one logarithm
+ln(kj / k) per step and keeps every density and ratio: orbits, sensitivity
 runs and the bifurcation scan's attractor tails derive the flow
 v0 * k * ln(kj / k) and the velocity v0 * ln(kj / k) from them.
 ``analysis._lyapunov_terms`` streams instead: it keeps no point and folds
 the slope v0 * (ln(kj / k) - 1) into a running sum as it steps, because the
 Lyapunov sweep reads each of its 11 000 points per grid value only once.
+Once its float orbit repeats a density exactly, it replays the cycle's
+terms instead of stepping on, so stable orbits cost far fewer logarithms.
 """
 
 from __future__ import annotations
@@ -92,21 +94,6 @@ def _states(
         TrafficState(k=k, q=v0 * k * ratio, v=v0 * ratio)
         for k, ratio in zip(densities, ratios)
     )
-
-
-def step(k: float, p: TrafficParams) -> TrafficState:
-    """One map application: the successor state at density v0 * k * ln(kj / k).
-
-    Successors that leave (0, kj] come back flagged ``escaped``: the absorbing
-    boundary 0 keeps its limit values (q = 0, unbounded v), an overshoot past
-    kj carries no flow/velocity.
-    """
-    densities, ratios, escaped = _trajectory(k, p, 1)
-    if escaped is None:
-        return _states(densities, ratios, p)[-1]
-    if escaped == 0.0:
-        return TrafficState(k=0.0, q=0.0, v=math.inf, escaped=True)
-    return TrafficState(k=escaped, q=math.nan, v=math.nan, escaped=True)
 
 
 def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:

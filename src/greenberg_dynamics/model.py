@@ -35,17 +35,11 @@ class TrafficParams:
 
 @dataclass(frozen=True)
 class TrafficState:
-    """One (density, flow, velocity) point on the fundamental diagrams.
-
-    ``escaped`` marks a successor produced by the iteration that left the
-    interval (0, kj]; such states carry no finite flow/velocity pair and
-    never appear in emitted data.
-    """
+    """One (density, flow, velocity) point on the fundamental diagrams."""
 
     k: float
     q: float
     v: float
-    escaped: bool = False
 
 
 def velocity_of_density(k: float, p: TrafficParams) -> float:

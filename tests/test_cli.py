@@ -166,6 +166,21 @@ class TestLyapunovCommand:
         doc = json.loads((tmp_path / "lyapunov.json").read_text())
         assert all(lam < 0 for lam in doc["data"]["lambda"])
 
+    def test_accepts_a_zero_transient(self, tmp_path):
+        code = run_cli(
+            "lyapunov", "--v0-min", "1.2", "--v0-max", "1.4", "--steps", "3",
+            "--n", "1000", "--transient", "0", "--format", "json", "--out", str(tmp_path),
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "lyapunov.json").read_text())
+        assert doc["settings"]["n_transient"] == 0
+
+    def test_rejects_a_negative_transient(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("lyapunov", "--transient", "-1", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "must be a non-negative integer, got -1" in capsys.readouterr().err
+
 
 class TestSensitivityCommand:
     def test_reports_divergence(self, tmp_path, capsys):

@@ -11,7 +11,6 @@ from greenberg_dynamics.dynamics import (
     iterate,
     map_derivative,
     sensitivity_experiment,
-    step,
 )
 from greenberg_dynamics.errors import ArgumentError, DomainError, EscapeWarning
 from greenberg_dynamics.model import (
@@ -21,39 +20,6 @@ from greenberg_dynamics.model import (
 )
 
 INV_E = math.exp(-1.0)
-
-
-class TestStep:
-    def test_fixed_point_is_stationary(self):
-        k_star = math.exp(-1.0 / 2.25)  # 0.6411803884299546
-        nxt = step(k_star, TrafficParams(v0=2.25))
-        assert nxt.k == pytest.approx(k_star, abs=1e-12)
-        assert not nxt.escaped
-
-    def test_successor_density_is_the_flow(self):
-        p = TrafficParams(v0=0.25)
-        nxt = step(0.25, p)
-        assert nxt.k == flow_of_density(0.25, p)
-        assert nxt.k == pytest.approx(0.08664339756999316, abs=1e-15)
-
-    def test_jam_density_is_absorbing(self):
-        nxt = step(1.0, TrafficParams(v0=1.7))
-        assert nxt.escaped
-        assert nxt.k == 0.0
-        assert nxt.q == 0.0
-        assert math.isinf(nxt.v)
-
-    def test_overshoot_past_jam_density_escapes(self):
-        # map maximum v0/e exceeds 1 for v0 > e
-        nxt = step(INV_E, TrafficParams(v0=2.75))
-        assert nxt.escaped
-        assert nxt.k > 1.0
-        assert math.isnan(nxt.q) and math.isnan(nxt.v)
-
-    @pytest.mark.parametrize("k", [0.0, -0.2, 1.1])
-    def test_rejects_out_of_domain(self, k):
-        with pytest.raises(DomainError):
-            step(k, TrafficParams(v0=1.0))
 
 
 class TestIterate:

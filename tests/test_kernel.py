@@ -1,26 +1,31 @@
 """Bit-identity of the two map loops against a plain reference loop.
 
-``iterate`` and ``_attractor_tail`` run on ``dynamics._trajectory``, and
-``_lyapunov_terms`` on its own streaming loop; each takes a single
-ln(kj / k) per step. The reference below is the straightforward loop over
-the model formulas (flow, velocity and slope each computing their own
-logarithm); every float must agree bit for bit, which ``float.hex`` makes
-explicit, and every escape must be reported at the same step.
+``iterate`` and ``_attractor_tail`` run on ``dynamics._trajectory``, which
+takes a single ln(kj / k) per step. ``_lyapunov_terms`` runs its own
+streaming loop, which takes one per step until the float orbit repeats a
+density exactly and then replays the cycle's terms instead of stepping.
+The reference below is the straightforward loop over the model formulas
+(flow, velocity and slope each computing their own logarithm, no replay);
+every float must agree bit for bit, which ``float.hex`` makes explicit, and
+every escape must be reported at the same step.
 """
 
 import math
+import random
 import warnings
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from greenberg_dynamics import analysis
 from greenberg_dynamics.analysis import (
     SINGULARITY_FLOOR,
     _attractor_tail,
     _lyapunov_terms,
+    lyapunov_curve,
 )
-from greenberg_dynamics.dynamics import _states, iterate, step
+from greenberg_dynamics.dynamics import _states, iterate
 from greenberg_dynamics.errors import EscapeError, EscapeWarning
 from greenberg_dynamics.model import TrafficParams
 
@@ -108,8 +113,8 @@ def test_iterate_matches_reference(v0, kj, fraction, n):
     else:
         [warning] = caught
         assert warning.category is EscapeWarning
+        # repr round-trips, so this pins the escaped density bit for bit
         assert f"at iterate {escape_index} (density {escaped_k})" in str(warning.message)
-        assert step(ks[-1], p).k.hex() == escaped_k.hex()
 
 
 @given(v0s, kjs, fractions, st.integers(2, 400), st.data())
@@ -126,7 +131,27 @@ def test_attractor_tail_matches_reference(v0, kj, fraction, n_total, data):
     assert hexes(s.v for s in states) == hexes(ref_velocity(k, p) for k in expected)
 
 
+# A v0 whose float orbit from 0.25 ends on a 2-cycle through a point where
+# ln(kj / k) is exactly 1, so one term of each lap is singular (the
+# superstable 2-cycle v0^2 * (1 - ln v0) = 1 rounded to a float).
+MIXED_V0 = 2.2184574899167
+
+# (v0, k0, float cycle length) for cycles found while averaging from k0 with
+# no transient. They are the repro's 2-, 4- and 8-cycle orbits; a float
+# cycle can be a multiple of the attractor period, because laps may differ
+# in the last bit before one repeats exactly.
+AVERAGING_CYCLES = [(2.25, 0.35, 2), (2.405, 0.275, 8), (2.48, 0.23, 16), (MIXED_V0, 0.25, 2)]
+
+
 @given(v0s, kjs, fractions, st.integers(1, 2000), st.integers(0, 500))
+@example(0.5, 1.0, 0.25, 2000, 500)  # cycle found during the transient
+@example(2.25, 1.0, 0.35, 2000, 0)  # cycles found while averaging
+@example(2.405, 1.0, 0.275, 2000, 0)
+@example(2.48, 1.0, 0.23, 2000, 0)
+@example(2.48, 1.0, 0.23, 1999, 7)
+@example(2.585, 1.0, 0.1, 2000, 500)  # chaotic: never cycles
+@example(MIXED_V0, 1.0, 0.25, 1999, 0)  # singular and regular terms in one cycle
+@example(MIXED_V0, 1.0, 0.25, 2000, 1)
 def test_lyapunov_terms_match_reference(v0, kj, fraction, n, n_transient):
     p, k0 = params_and_k0(v0, kj, fraction)
     expected = ref_lyapunov(k0, p, n, n_transient)
@@ -175,3 +200,71 @@ def test_superstable_orbit_skips_every_term(n, n_transient):
     p = TrafficParams(v0=1.0)
     assert _lyapunov_terms(p, math.exp(-1.0), n, n_transient) == (-math.inf, 0, n)
     assert ref_lyapunov(math.exp(-1.0), p, n, n_transient) == (-math.inf, 0, n)
+
+
+def record_replays(monkeypatch):
+    """Wrap _replay_cycle; the list collects (period, rest) of each replay."""
+    replays = []
+    replay = analysis._replay_cycle
+
+    def recording(p, k, period, rest, acc):
+        replays.append((period, rest))
+        return replay(p, k, period, rest, acc)
+
+    monkeypatch.setattr(analysis, "_replay_cycle", recording)
+    return replays
+
+
+@pytest.mark.parametrize("v0, k0, period", AVERAGING_CYCLES)
+def test_pinned_examples_replay_a_cycle_while_averaging(monkeypatch, v0, k0, period):
+    replays = record_replays(monkeypatch)
+    _lyapunov_terms(TrafficParams(v0=v0), k0, 2000, 0)
+    [(found, rest)] = replays
+    assert found == period and 0 < rest < 2000
+
+
+def test_chaotic_orbit_never_replays(monkeypatch):
+    replays = record_replays(monkeypatch)
+    _lyapunov_terms(TrafficParams(v0=2.585), 0.1, 10_000, 1_000)
+    assert replays == []
+
+
+def test_mixed_cycle_skips_its_singular_term_on_every_lap():
+    p = TrafficParams(v0=MIXED_V0)
+    expected = ref_lyapunov(0.25, p, 10_000, 1_000)
+    assert 4_000 < expected[2] < 6_000  # about half the terms are singular
+    estimate, used, skipped = _lyapunov_terms(p, 0.25, 10_000, 1_000)
+    assert (estimate.hex(), used, skipped) == (expected[0].hex(), *expected[1:])
+
+
+def test_sink_replays_instead_of_stepping(monkeypatch):
+    # stepping all 10 000 + 1 000 points would take 22 000 logarithms
+    calls = []
+    log = math.log
+
+    def counting_log(x):
+        calls.append(x)
+        return log(x)
+
+    monkeypatch.setattr(math, "log", counting_log)
+    estimate = _lyapunov_terms(TrafficParams(v0=0.5), 0.25, 10_000, 1_000)[0]
+    monkeypatch.undo()
+    assert len(calls) < 1_000
+    assert estimate == pytest.approx(math.log(0.5), abs=1e-9)
+
+
+def test_lyapunov_curve_matches_reference_point_by_point(monkeypatch):
+    # a seeded grid like the benchmark's: it crosses the slowly converging
+    # sinks just below v0 = 2 and the chaotic band above 2.55
+    rng = random.Random(2017)
+    v0_min, k0 = rng.uniform(0.05, 0.10), rng.uniform(0.15, 0.35)
+    replays = record_replays(monkeypatch)
+    curve = lyapunov_curve(v0_min, 2.7, 40, k0=k0)
+    assert any(1.95 < v0 < 2.02 for v0 in curve.v0_grid)
+    assert 0 < len(replays) < 40
+    for v0, estimate, used, skipped in zip(
+        curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms
+    ):
+        expected = ref_lyapunov(k0, TrafficParams(v0=v0), 10_000, 1_000)
+        assert not isinstance(expected, str) and math.isfinite(expected[0])
+        assert (estimate.hex(), used, skipped) == (expected[0].hex(), *expected[1:])

@@ -182,4 +182,3 @@ class TestStateOfDensity:
         s = state_of_density(0.42, p)
         assert s.q == flow_of_density(0.42, p)
         assert s.v == velocity_of_density(0.42, p)
-        assert not s.escaped
