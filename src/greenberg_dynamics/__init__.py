@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
     EscapeError,
     EscapeWarning,
-    RenderError,
     SpecError,
 )
 from .emit import DiagramPayload, PlotSpec, render_svg, write_csv, write_json
@@ -59,7 +58,6 @@ __all__ = [
     "LyapunovCurve",
     "Orbit",
     "PlotSpec",
-    "RenderError",
     "SensitivityResult",
     "SpecError",
     "StabilityCertificate",

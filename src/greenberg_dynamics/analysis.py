@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import cycle, islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dynamics import _states, _trajectory
 from .errors import ArgumentError, DomainError, EscapeError
@@ -69,7 +69,7 @@ class StabilityCertificate:
 class ScanSettings:
     """Per-sweep configuration echoed into every emitted artifact."""
 
-    k0: float | None  # None when initial densities were supplied per point
+    k0: float
     n_total: int
     n_keep: int
     tolerance: float
@@ -81,7 +81,6 @@ class BifurcationScan:
     """Post-transient attractor samples and detected periods over a v0 grid."""
 
     v0_grid: tuple[float, ...]
-    k0_values: tuple[float, ...]
     samples: tuple[tuple[TrafficState, ...], ...]
     detected_periods: tuple[int | None, ...]
     escaped: tuple[bool, ...]
@@ -275,48 +274,42 @@ def bifurcation_scan(
     v0_min: float,
     v0_max: float,
     steps: int,
-    k0: float | Callable[[float], float] = DEFAULT_SCAN_K0,
+    k0: float = DEFAULT_SCAN_K0,
     n_total: int = DEFAULT_SCAN_TOTAL,
     n_keep: int = DEFAULT_SCAN_KEEP,
     tolerance: float = DEFAULT_PERIOD_TOLERANCE,
-    max_period: int = DEFAULT_MAX_PERIOD,
 ) -> BifurcationScan:
     """Sweep v0 over an ascending grid, sampling each attractor and its period.
 
-    ``k0`` is either one initial density for every grid point or a callable
-    v0 -> k0 for per-point overrides. The period search is capped at
-    n_keep // 2 so the retained window always satisfies the detector's
-    length requirement. Escaped grid points keep their partial samples and
-    an aperiodic marker rather than failing the sweep.
+    Every grid point starts from ``k0``. The period search is capped at
+    min(DEFAULT_MAX_PERIOD, n_keep // 2), so the retained window always
+    satisfies the detector's length requirement. An escaped grid point is
+    recorded, not raised: it keeps its partial samples, and the period
+    search runs on those.
     """
     if n_keep < 1 or n_keep >= n_total:
         raise ArgumentError(f"need 1 <= n_keep < n_total, got keep={n_keep} total={n_total}")
     grid = _parameter_grid(v0_min, v0_max, steps)
-    k0_of: Callable[[float], float] = k0 if callable(k0) else (lambda _v0: k0)
 
-    def scan_point(v0: float) -> tuple[float, tuple[TrafficState, ...], int | None, bool]:
+    def scan_point(v0: float) -> tuple[tuple[TrafficState, ...], int | None, bool]:
         p = TrafficParams(v0=v0)
-        start = k0_of(v0)
-        tail, ratios, escaped = _attractor_tail(p, start, n_total, n_keep)
-        effective_max = min(max_period, len(tail) // 2)
-        period = (
-            detect_period(tail, tolerance, effective_max) if effective_max >= 1 else None
-        )
-        return start, _states(tail, ratios, p), period, escaped
+        tail, ratios, escaped = _attractor_tail(p, k0, n_total, n_keep)
+        cap = min(DEFAULT_MAX_PERIOD, len(tail) // 2)
+        period = detect_period(tail, tolerance, cap) if cap >= 1 else None
+        return _states(tail, ratios, p), period, escaped
 
-    results = [scan_point(v0) for v0 in grid]
+    samples, periods, escaped = zip(*map(scan_point, grid))
     return BifurcationScan(
         v0_grid=tuple(grid),
-        k0_values=tuple(r[0] for r in results),
-        samples=tuple(r[1] for r in results),
-        detected_periods=tuple(r[2] for r in results),
-        escaped=tuple(r[3] for r in results),
+        samples=samples,
+        detected_periods=periods,
+        escaped=escaped,
         settings=ScanSettings(
-            k0=None if callable(k0) else k0,
+            k0=k0,
             n_total=n_total,
             n_keep=n_keep,
             tolerance=tolerance,
-            max_period=max_period,
+            max_period=DEFAULT_MAX_PERIOD,
         ),
     )
 
@@ -472,11 +465,11 @@ def lyapunov_curve(
             return None, used, skipped
         return estimate, used, skipped
 
-    results = [curve_point(v0) for v0 in grid]
+    lambdas, n_terms, skipped_terms = zip(*map(curve_point, grid))
     return LyapunovCurve(
         v0_grid=tuple(grid),
-        lambdas=tuple(r[0] for r in results),
-        n_terms=tuple(r[1] for r in results),
-        skipped_terms=tuple(r[2] for r in results),
+        lambdas=lambdas,
+        n_terms=n_terms,
+        skipped_terms=skipped_terms,
         settings=LyapunovSettings(k0=k0, n=n, n_transient=n_transient),
     )

@@ -215,7 +215,7 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[list[str], dict]:
     settings = {"v0": args.v0, "kj": args.kj, "n": args.n}
     p = TrafficParams(v0=args.v0, kj=args.kj)
     payload = emit.DiagramPayload(params=p, samples=tuple(diagram_samples(p, args.n)))
-    spec = emit.PlotSpec(kind=emit.KIND_DIAGRAMS, title=f"Greenberg diagrams, v0={p.v0:g}")
+    spec = emit.PlotSpec(title=f"Greenberg diagrams, v0={p.v0:g}")
     return _write(args, payload, "diagram", [("", spec)]), settings
 
 
@@ -238,11 +238,8 @@ def _cmd_orbit(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 def _cmd_cobweb(args: argparse.Namespace) -> tuple[list[str], dict]:
     orbit, settings = _orbit(args)
-    spec = emit.PlotSpec(
-        kind=emit.KIND_COBWEB,
-        title=f"Iteration on the Greenberg diagrams, v0={args.v0:g}, k0={args.k0:g}",
-    )
-    return _write(args, orbit, "cobweb", [("", spec)]), settings
+    title = f"Iteration on the Greenberg diagrams, v0={args.v0:g}, k0={args.k0:g}"
+    return _write(args, orbit, "cobweb", [("", emit.PlotSpec(title=title))]), settings
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[list[str], dict]:
@@ -273,11 +270,10 @@ def _cmd_bifurcation(args: argparse.Namespace) -> tuple[list[str], dict]:
     escaped = sum(scan.escaped)
     if escaped:
         print(f"warning: {escaped} grid points escaped (0, 1]", file=sys.stderr)
-    svgs = []
-    for field in ("k", "v"):
-        title = f"{field} vs v0 bifurcation diagram"
-        spec = emit.PlotSpec(kind=emit.KIND_BIFURCATION, title=title, y_field=field)
-        svgs.append((f"_{field}", spec))
+    svgs = [
+        (f"_{field}", emit.PlotSpec(title=f"{field} vs v0 bifurcation diagram", y_field=field))
+        for field in ("k", "v")
+    ]
     return _write(args, scan, "bifurcation", svgs), settings
 
 
@@ -298,7 +294,7 @@ def _cmd_lyapunov(args: argparse.Namespace) -> tuple[list[str], dict]:
             "(escaped or superstable orbit)",
             file=sys.stderr,
         )
-    spec = emit.PlotSpec(kind=emit.KIND_LYAPUNOV, title="Lyapunov exponent vs v0")
+    spec = emit.PlotSpec(title="Lyapunov exponent vs v0")
     return _write(args, curve, "lyapunov", [("", spec)]), settings
 
 
@@ -324,11 +320,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> tuple[list[str], dict]:
             f"separation exceeded {result.threshold:g} at iterate "
             f"{result.first_divergence_index}"
         )
-    spec = emit.PlotSpec(
-        kind=emit.KIND_SENSITIVITY,
-        title=f"Nearby orbits, v0={p.v0:g}, k0={args.k0:g}, delta={args.delta:g}",
-    )
-    return _write(args, result, "sensitivity", [("", spec)]), settings
+    title = f"Nearby orbits, v0={p.v0:g}, k0={args.k0:g}, delta={args.delta:g}"
+    return _write(args, result, "sensitivity", [("", emit.PlotSpec(title=title))]), settings
 
 
 def _cmd_repro(args: argparse.Namespace) -> tuple[list[str], dict]:

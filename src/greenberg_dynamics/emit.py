@@ -11,9 +11,10 @@ is per value, so each value is formatted by as few calls as possible: one
 point formatted once, and every JSON array of numbers encoded by json's C
 encoder in one call (``_json_text``).
 
-Each payload type has one entry in ``_SCHEMAS``: its JSON kind, plot kind,
-CSV header and rows, settings, JSON data and SVG panels. ``write_csv``,
-``write_json`` and ``render_svg`` dispatch through it and nothing else.
+Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
+and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
+and ``render_svg`` dispatch through it and nothing else, so the payload type
+alone selects the plot, as it selects the CSV and JSON layout.
 """
 
 from __future__ import annotations
@@ -27,16 +28,10 @@ from typing import Callable, Sequence
 
 from .analysis import BifurcationScan, LyapunovCurve, fixed_point
 from .dynamics import Orbit, SensitivityResult, cobweb_path
-from .errors import RenderError, SpecError
+from .errors import DomainError, SpecError
 from .model import TrafficParams, TrafficState, diagram_samples
 
 SCHEMA_VERSION = "1"
-
-KIND_DIAGRAMS = "fundamental-diagrams"
-KIND_COBWEB = "cobweb-triptych"
-KIND_BIFURCATION = "bifurcation"
-KIND_LYAPUNOV = "lyapunov"
-KIND_SENSITIVITY = "sensitivity"
 
 # In CSV a detected period of 0 marks an aperiodic attractor; JSON uses null.
 APERIODIC_CSV_MARKER = 0
@@ -45,6 +40,11 @@ _CURVE_COLOR = "#1f77b4"
 _PATH_COLOR = "#d62728"
 _MARKER_COLOR = "#2ca02c"
 _GUIDE_COLOR = "#777777"
+_FRAME_STYLE = 'stroke="#333333" stroke-width="1"'
+
+# Every SVG document is this many pixels wide and high.
+_WIDTH = 960
+_HEIGHT = 360
 
 
 @dataclass(frozen=True)
@@ -57,22 +57,13 @@ class DiagramPayload:
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """What to draw and how: plot kind, geometry, labels and overlays.
+    """The labels of a plot; the payload type selects which plot is drawn.
 
-    Axis ranges left as None are computed from the payload; explicit ranges
-    must be finite with min < max. ``y_field`` picks the bifurcation
-    ordinate ("k", "q" or "v").
+    ``title`` is drawn above the panels when not empty. ``y_field`` picks
+    the bifurcation ordinate ("k", "q" or "v"); the other plots ignore it.
     """
 
-    kind: str
     title: str = ""
-    width: int = 960
-    height: int = 360
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
-    show_identity: bool = True
-    show_fixed_point: bool = True
-    show_threshold: bool = True
     y_field: str = "k"
 
 
@@ -81,7 +72,6 @@ class _Schema:
     """How one payload type is emitted; ``_SCHEMAS`` holds one per type."""
 
     kind: str  # the JSON document kind
-    plot: str  # the PlotSpec kind that draws it
     header: str  # the CSV header
     rows: Callable  # payload -> CSV data rows, each ending in a newline
     settings: Callable  # payload -> the input parameters echoed into every artifact
@@ -159,7 +149,7 @@ def _scan_rows(scan: BifurcationScan) -> list[str]:
 def _scan_data(scan: BifurcationScan) -> dict:
     return {
         "v0": list(scan.v0_grid),
-        "k0": list(scan.k0_values),
+        "k0": [scan.settings.k0] * len(scan.v0_grid),
         "detected_period": list(scan.detected_periods),
         "escaped": list(scan.escaped),
         "k": [[s.k for s in states] for states in scan.samples],
@@ -283,8 +273,15 @@ def _json_text(obj, depth: int) -> str:
 
 
 def write_json(payload, destination) -> int:
-    """Write one JSON document for the payload; returns the byte count."""
-    text = _json_text(_document(payload), 0) + "\n"
+    """Write one JSON document for the payload; returns the byte count.
+
+    A NaN or infinity, such as a flow that overflowed, raises DomainError.
+    """
+    document = _document(payload)
+    try:
+        text = _json_text(document, 0) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"{document['kind']} document holds a non-finite number") from exc
     with _sink(destination) as out:
         out.write(text)
     # json escapes every non-ASCII character, so characters are bytes.
@@ -295,11 +292,8 @@ def _escape_xml(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _checked_range(rng: tuple[float, float], axis: str) -> tuple[float, float]:
-    lo, hi = rng
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise RenderError(f"{axis} range must be finite with min < max, got {rng}")
-    return lo, hi
+def _line(x1, y1, x2, y2, style: str) -> str:
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {style}/>'
 
 
 def _auto_range(values: Sequence[float], pad: float = 0.05) -> tuple[float, float]:
@@ -307,21 +301,18 @@ def _auto_range(values: Sequence[float], pad: float = 0.05) -> tuple[float, floa
     if not finite:
         return (0.0, 1.0)
     lo, hi = min(finite), max(finite)
-    if hi - lo < 1e-12:
-        slack = max(0.5, abs(hi) * 0.1)
-        return (lo - slack, hi + slack)
-    slack = (hi - lo) * pad
+    slack = max(0.5, abs(hi) * 0.1) if hi - lo < 1e-12 else (hi - lo) * pad
     return (lo - slack, hi + slack)
 
 
 class _Panel:
     """One plotting area: data-to-pixel mapping plus element builders."""
 
-    def __init__(self, left, top, width, height, x_range, y_range, x_label, y_label, clip_id):
+    def __init__(self, left, top, width, height, x_lim, y_lim, x_label, y_label, clip_id):
         self.left, self.top = left, top
         self.width, self.height = width, height
-        self.x0, self.x1 = x_range
-        self.y0, self.y1 = y_range
+        self.x0, self.x1 = x_lim
+        self.y0, self.y1 = y_lim
         self.x_label, self.y_label = x_label, y_label
         self.clip_id = clip_id
         self.elements: list[str] = []
@@ -357,54 +348,42 @@ class _Panel:
         y0, height = self.y0, self.height
         self.elements.extend(dot % (base - (y - y0) / span * height) for y in ys)
 
-    def hline(self, y, color, dash="4 3", width=1.0):
-        if not (self.y0 <= y <= self.y1):
-            return
-        self.elements.append(
-            f'<line x1="{self.left:.2f}" y1="{self.py(y):.2f}" '
-            f'x2="{self.left + self.width:.2f}" y2="{self.py(y):.2f}" '
-            f'stroke="{color}" stroke-width="{width}" stroke-dasharray="{dash}"/>'
-        )
+    def hline(self, y, color):
+        if self.y0 <= y <= self.y1:
+            self._guide(self.left, self.py(y), self.left + self.width, self.py(y), color)
 
-    def vline(self, x, color, dash="4 3", width=1.0):
-        if not (self.x0 <= x <= self.x1):
-            return
-        self.elements.append(
-            f'<line x1="{self.px(x):.2f}" y1="{self.top:.2f}" '
-            f'x2="{self.px(x):.2f}" y2="{self.top + self.height:.2f}" '
-            f'stroke="{color}" stroke-width="{width}" stroke-dasharray="{dash}"/>'
-        )
+    def vline(self, x, color):
+        if self.x0 <= x <= self.x1:
+            self._guide(self.px(x), self.top, self.px(x), self.top + self.height, color)
+
+    def _guide(self, x1, y1, x2, y2, color):
+        style = f'stroke="{color}" stroke-width="1.0" stroke-dasharray="4 3"'
+        self.elements.append(_line(x1, y1, x2, y2, style))
 
     def frame(self) -> list[str]:
+        bottom = self.top + self.height
         parts = [
             f'<rect x="{self.left:.2f}" y="{self.top:.2f}" width="{self.width:.2f}" '
-            f'height="{self.height:.2f}" fill="none" stroke="#333333" stroke-width="1"/>'
+            f'height="{self.height:.2f}" fill="none" {_FRAME_STYLE}/>'
         ]
         for i in range(5):
             xv = self.x0 + i * (self.x1 - self.x0) / 4
             xp = self.px(xv)
+            parts.append(_line(xp, bottom, xp, bottom + 4, _FRAME_STYLE))
             parts.append(
-                f'<line x1="{xp:.2f}" y1="{self.top + self.height:.2f}" '
-                f'x2="{xp:.2f}" y2="{self.top + self.height + 4:.2f}" '
-                f'stroke="#333333" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{xp:.2f}" y="{self.top + self.height + 16:.2f}" '
+                f'<text x="{xp:.2f}" y="{bottom + 16:.2f}" '
                 f'font-size="10" text-anchor="middle">{xv:.4g}</text>'
             )
             yv = self.y0 + i * (self.y1 - self.y0) / 4
             yp = self.py(yv)
-            parts.append(
-                f'<line x1="{self.left - 4:.2f}" y1="{yp:.2f}" '
-                f'x2="{self.left:.2f}" y2="{yp:.2f}" stroke="#333333" stroke-width="1"/>'
-            )
+            parts.append(_line(self.left - 4, yp, self.left, yp, _FRAME_STYLE))
             parts.append(
                 f'<text x="{self.left - 7:.2f}" y="{yp + 3:.2f}" font-size="10" '
                 f'text-anchor="end">{yv:.4g}</text>'
             )
         parts.append(
             f'<text x="{self.left + self.width / 2:.2f}" '
-            f'y="{self.top + self.height + 32:.2f}" font-size="11" '
+            f'y="{bottom + 32:.2f}" font-size="11" '
             f'text-anchor="middle">{_escape_xml(self.x_label)}</text>'
         )
         parts.append(
@@ -428,27 +407,21 @@ class _Panel:
         ]
 
 
-def _panel_slots(spec: PlotSpec, count: int):
-    slot = spec.width / count
-    top = 44
-    height = spec.height - 100
-    for i in range(count):
-        yield slot * i + 56, top, slot - 76, height
+def _layout(*axes) -> list[_Panel]:
+    """Panels side by side, one per (x_lim, y_lim, x_label, y_label).
 
-
-def _make_panel(spec, slot, x_range, y_range, x_label, y_label, index):
-    left, top, width, height = slot
-    x_range = _checked_range(x_range if spec.x_range is None else spec.x_range, "x")
-    y_range = _checked_range(y_range if spec.y_range is None else spec.y_range, "y")
-    return _Panel(left, top, width, height, x_range, y_range, x_label, y_label, f"clip{index}")
-
-
-def _layout(spec: PlotSpec, *axes) -> list[_Panel]:
-    """Panels side by side, one per (x_range, y_range, x_label, y_label)."""
-    slots = _panel_slots(spec, len(axes))
-    return [
-        _make_panel(spec, slot, *ax, i) for i, (slot, ax) in enumerate(zip(slots, axes))
-    ]
+    An axis that overflowed, such as velocity at a huge v0, raises DomainError.
+    """
+    slot = _WIDTH / len(axes)
+    panels = []
+    for i, (x_lim, y_lim, x_label, y_label) in enumerate(axes):
+        if not all(map(math.isfinite, (*x_lim, *y_lim))):
+            raise DomainError(f"cannot draw {y_label} against {x_label}: an axis overflowed")
+        left, width, height = slot * i + 56, slot - 76, _HEIGHT - 100
+        panels.append(
+            _Panel(left, 44, width, height, x_lim, y_lim, x_label, y_label, f"clip{i}")
+        )
+    return panels
 
 
 def _diagram_panels(spec: PlotSpec, payload: DiagramPayload) -> list[_Panel]:
@@ -460,7 +433,6 @@ def _diagram_panels(spec: PlotSpec, payload: DiagramPayload) -> list[_Panel]:
     # let the clip path absorb the free-flow spike.
     v_range = _auto_range([0.0, *[s.v for s in samples if s.k >= 0.02 * kj]])
     p1, p2, p3 = _layout(
-        spec,
         (x_k, q_range, "density k", "flow q"),
         (x_k, v_range, "density k", "velocity v"),
         (q_range, v_range, "flow q", "velocity v"),
@@ -481,18 +453,16 @@ def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
     q_range = _auto_range([0.0, *curve_qs, *[s.q for s in orbit.states]])
     v_range = (0.0, 1.08 * max([p.v0, *[s.v for s in orbit.states], 1e-9]))
     p1, p2, p3 = _layout(
-        spec,
         (x_k, flow_range, "density k", "flow q"),
         (x_k, v_range, "density k", "velocity v"),
         (q_range, v_range, "flow q", "velocity v"),
     )
     p1.polyline([(s.k, s.q) for s in curve], _CURVE_COLOR)
-    if spec.show_identity:
-        p1.polyline([(0.0, 0.0), (p.kj, p.kj)], _GUIDE_COLOR, width=1.0, dash="5 4")
+    p1.polyline([(0.0, 0.0), (p.kj, p.kj)], _GUIDE_COLOR, width=1.0, dash="5 4")
     if path:
         p1.polyline(path, _PATH_COLOR, width=1.1)
     p1.dots([(orbit.k0, orbit.k0)], _PATH_COLOR, radius=2.4)
-    if spec.show_fixed_point and p.v0 > 0.0:
+    if p.v0 > 0.0:
         k_star = fixed_point(p)
         p1.dots([(k_star, k_star)], "#000000", radius=2.6)
     p2.polyline([(s.k, s.v) for s in curve], _CURVE_COLOR)
@@ -507,11 +477,10 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
         raise SpecError(f"bifurcation y_field must be k, q or v, got {spec.y_field!r}")
     ordinate = attrgetter(spec.y_field)
     columns = [list(map(ordinate, states)) for states in scan.samples]
-    x_range = _auto_range(list(scan.v0_grid), pad=0.02)
-    y_range = _auto_range([y for ys in columns for y in ys])
-    [panel] = _layout(spec, (x_range, y_range, "optimum velocity v0", spec.y_field))
-    if spec.show_threshold:
-        panel.vline(2.0, _PATH_COLOR)
+    x_lim = _auto_range(list(scan.v0_grid), pad=0.02)
+    y_lim = _auto_range([y for ys in columns for y in ys])
+    [panel] = _layout((x_lim, y_lim, "optimum velocity v0", spec.y_field))
+    panel.vline(2.0, _PATH_COLOR)
     for v0, ys in zip(scan.v0_grid, columns):
         panel.column(v0, ys, _CURVE_COLOR, radius=0.7)
     return [panel]
@@ -519,12 +488,11 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
 
 def _lyapunov_panels(spec: PlotSpec, curve: LyapunovCurve) -> list[_Panel]:
     finite = [l for l in curve.lambdas if l is not None]
-    x_range = _auto_range(list(curve.v0_grid), pad=0.02)
-    y_range = _auto_range([0.0, *finite])
-    [panel] = _layout(spec, (x_range, y_range, "optimum velocity v0", "Lyapunov exponent"))
+    x_lim = _auto_range(list(curve.v0_grid), pad=0.02)
+    y_lim = _auto_range([0.0, *finite])
+    [panel] = _layout((x_lim, y_lim, "optimum velocity v0", "Lyapunov exponent"))
     panel.hline(0.0, _GUIDE_COLOR)
-    if spec.show_threshold:
-        panel.vline(2.0, _PATH_COLOR)
+    panel.vline(2.0, _PATH_COLOR)
     segment: list[tuple[float, float]] = []
     for v0, lam in zip(curve.v0_grid, curve.lambdas):
         if lam is None:
@@ -541,12 +509,11 @@ def _sensitivity_panels(spec: PlotSpec, result: SensitivityResult) -> list[_Pane
     idx = list(range(m))
     ka = [result.orbit_a.states[i].k for i in range(m)]
     kb = [result.orbit_b.states[i].k for i in range(m)]
-    x_range = _auto_range([0.0, max(m - 1, 1)], pad=0.02)
+    x_lim = _auto_range([0.0, max(m - 1, 1)], pad=0.02)
     sep_range = _auto_range([0.0, *result.separation, result.threshold])
     p1, p2 = _layout(
-        spec,
-        (x_range, _auto_range([*ka, *kb]), "iteration", "density k"),
-        (x_range, sep_range, "iteration", "separation"),
+        (x_lim, _auto_range([*ka, *kb]), "iteration", "density k"),
+        (x_lim, sep_range, "iteration", "separation"),
     )
     p1.polyline(list(zip(idx, ka)), _CURVE_COLOR, width=1.1)
     p1.polyline(list(zip(idx, kb)), _PATH_COLOR, width=1.1)
@@ -557,51 +524,43 @@ def _sensitivity_panels(spec: PlotSpec, result: SensitivityResult) -> list[_Pane
 
 _SCHEMAS = {
     Orbit: _Schema(
-        "orbit", KIND_COBWEB, "i,k,q,v,escaped",
+        "orbit", "i,k,q,v,escaped",
         _orbit_rows, _orbit_settings, _orbit_data, _cobweb_panels,
     ),
     DiagramPayload: _Schema(
-        "diagram", KIND_DIAGRAMS, "k,q,v",
+        "diagram", "k,q,v",
         _diagram_rows, _diagram_settings, _diagram_data, _diagram_panels,
     ),
     BifurcationScan: _Schema(
-        "bifurcation-scan", KIND_BIFURCATION, "v0,sample_index,k,q,v,detected_period",
+        "bifurcation-scan", "v0,sample_index,k,q,v,detected_period",
         _scan_rows, _grid_settings, _scan_data, _bifurcation_panels,
     ),
     LyapunovCurve: _Schema(
-        "lyapunov-curve", KIND_LYAPUNOV, "v0,lambda,n_terms,skipped_terms",
+        "lyapunov-curve", "v0,lambda,n_terms,skipped_terms",
         _curve_rows, _grid_settings, _curve_data, _lyapunov_panels,
     ),
     SensitivityResult: _Schema(
-        "sensitivity", KIND_SENSITIVITY, "i,k_a,k_b,separation",
+        "sensitivity", "i,k_a,k_b,separation",
         _sensitivity_rows, _sensitivity_settings, _sensitivity_data, _sensitivity_panels,
     ),
 }
 
 
 def render_svg(spec: PlotSpec, payload) -> str:
-    """Render the payload as a standalone SVG document string."""
-    expected = next((t for t, s in _SCHEMAS.items() if s.plot == spec.kind), None)
-    if expected is None:
-        raise SpecError(f"unknown plot kind {spec.kind!r}")
-    if not isinstance(payload, expected):
-        raise SpecError(
-            f"plot kind {spec.kind!r} needs a {expected.__name__} payload, "
-            f"got {type(payload).__name__}"
-        )
-    schema = _SCHEMAS[expected]
+    """Render the payload as a standalone SVG document string; its type picks the plot."""
+    schema = _schema_of(payload, "SVG")
     settings = json.dumps(schema.settings(payload))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
         f'font-family="Helvetica, Arial, sans-serif">',
         f"<desc>settings: {_escape_xml(settings)}</desc>",
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if spec.title:
         lines.append(
-            f'<text x="{spec.width / 2:.2f}" y="22" font-size="14" '
+            f'<text x="{_WIDTH / 2:.2f}" y="22" font-size="14" '
             f'text-anchor="middle">{_escape_xml(spec.title)}</text>'
         )
     for panel in schema.panels(spec, payload):

@@ -14,11 +14,7 @@ class EscapeError(RuntimeError):
 
 
 class SpecError(ValueError):
-    """A payload does not match the schema or plot kind it was given to."""
-
-
-class RenderError(ValueError):
-    """A plot spec carries axis ranges that cannot be drawn."""
+    """A payload has no emitter schema, or a plot spec names an unknown ordinate."""
 
 
 class EscapeWarning(UserWarning):

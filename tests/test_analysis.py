@@ -200,13 +200,6 @@ class TestBifurcationScan:
         assert all(len(states) == 20 for states in scan.samples)
         assert scan.escaped == (False,) * 6
 
-    def test_per_point_initial_density_override(self):
-        scan = bifurcation_scan(
-            1.0, 2.0, 3, k0=lambda v0: 0.2 + 0.1 * v0, n_total=200, n_keep=20
-        )
-        assert scan.k0_values == pytest.approx((0.3, 0.35, 0.4))
-        assert scan.settings.k0 is None
-
     def test_escape_recorded_not_raised(self):
         # v0 = e sends the optimum density exactly to kj and then to 0
         scan = bifurcation_scan(math.e, math.e, 1, k0=INV_E, n_total=10, n_keep=4)

@@ -131,6 +131,28 @@ class TestDiagramCommand:
             assert (tmp_path / name).exists()
 
 
+class TestOverflowExits3:
+    """A flow or velocity that overflows to inf is a domain error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (("diagram", "--v0", "1e308"), "diagram"),
+            (("orbit", "--v0", "2.5", "--kj", "1e308", "--k0", "1e307"), "orbit"),
+        ],
+    )
+    def test_json_of_an_overflowed_run(self, argv, kind, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"error: {kind} document holds a non-finite number"
+
+    def test_svg_of_an_overflowed_diagram(self, tmp_path, capsys):
+        code = run_cli("diagram", "--v0", "1e308", "--format", "svg", "--out", str(tmp_path))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: cannot draw")
+        assert not (tmp_path / "diagram.svg").exists()
+
+
 class TestBifurcationCommand:
     def test_writes_csv_json_and_both_svg_panels(self, tmp_path):
         code = run_cli(

@@ -15,20 +15,15 @@ from greenberg_dynamics.analysis import (
     bifurcation_scan,
     lyapunov_curve,
 )
-from greenberg_dynamics.dynamics import iterate, sensitivity_experiment
+from greenberg_dynamics.dynamics import Orbit, iterate, sensitivity_experiment
 from greenberg_dynamics.emit import (
-    KIND_BIFURCATION,
-    KIND_COBWEB,
-    KIND_DIAGRAMS,
-    KIND_LYAPUNOV,
-    KIND_SENSITIVITY,
     DiagramPayload,
     PlotSpec,
     render_svg,
     write_csv,
     write_json,
 )
-from greenberg_dynamics.errors import EscapeWarning, RenderError, SpecError
+from greenberg_dynamics.errors import EscapeWarning, SpecError
 from greenberg_dynamics.model import TrafficParams, diagram_samples
 
 INV_E = math.exp(-1.0)
@@ -120,7 +115,6 @@ class TestWriteCsv:
     def test_empty_scan_writes_header_only(self, tmp_path):
         empty = BifurcationScan(
             v0_grid=(),
-            k0_values=(),
             samples=(),
             detected_periods=(),
             escaped=(),
@@ -228,11 +222,11 @@ class TestWriteJson:
 class TestRenderSvg:
     def kind_payload_pairs(self, orbit, scan, curve, sensitivity, diagram):
         return [
-            (PlotSpec(kind=KIND_DIAGRAMS, title="diagrams"), diagram),
-            (PlotSpec(kind=KIND_COBWEB, title="cobweb"), orbit),
-            (PlotSpec(kind=KIND_BIFURCATION, title="bifurcation"), scan),
-            (PlotSpec(kind=KIND_LYAPUNOV, title="lyapunov"), curve),
-            (PlotSpec(kind=KIND_SENSITIVITY, title="sensitivity"), sensitivity),
+            (PlotSpec(title="diagrams"), diagram),
+            (PlotSpec(title="cobweb"), orbit),
+            (PlotSpec(title="bifurcation"), scan),
+            (PlotSpec(title="lyapunov"), curve),
+            (PlotSpec(title="sensitivity"), sensitivity),
         ]
 
     def test_all_kinds_render_well_formed_svg(
@@ -256,48 +250,50 @@ class TestRenderSvg:
     def test_fixed_point_orbit_renders_degenerate_cobweb(self):
         k_star = math.exp(-2.0 / 3.0)
         orbit = iterate(k_star, TrafficParams(v0=1.5), 10)
-        doc = render_svg(PlotSpec(kind=KIND_COBWEB), orbit)
+        doc = render_svg(PlotSpec(), orbit)
         ET.fromstring(doc)
 
     def test_bifurcation_panel_has_one_dot_per_sample(self, scan):
-        doc = render_svg(PlotSpec(kind=KIND_BIFURCATION), scan)
+        doc = render_svg(PlotSpec(), scan)
         dots = doc.count("<circle")
         assert dots == sum(len(s) for s in scan.samples)
 
     def test_bifurcation_velocity_ordinate(self, scan):
-        doc = render_svg(PlotSpec(kind=KIND_BIFURCATION, y_field="v"), scan)
+        doc = render_svg(PlotSpec(y_field="v"), scan)
         ET.fromstring(doc)
 
     def test_lyapunov_panel_includes_the_zero_guide(self, curve):
-        doc = render_svg(PlotSpec(kind=KIND_LYAPUNOV), curve)
+        doc = render_svg(PlotSpec(), curve)
         assert 'stroke-dasharray="4 3"' in doc
 
     def test_title_is_escaped(self, diagram):
-        doc = render_svg(PlotSpec(kind=KIND_DIAGRAMS, title="flow < 1 & q"), diagram)
+        doc = render_svg(PlotSpec(title="flow < 1 & q"), diagram)
         assert "flow &lt; 1 &amp; q" in doc
         ET.fromstring(doc)
 
     def test_settings_are_embedded(self, orbit):
-        doc = render_svg(PlotSpec(kind=KIND_COBWEB), orbit)
+        doc = render_svg(PlotSpec(), orbit)
         assert '<desc>settings: {"v0": 1.25, "kj": 1.0, "k0": 0.1, "n": 50}</desc>' in doc
 
-    def test_kind_and_payload_must_match(self, orbit, scan):
+    def test_rejects_unknown_payloads(self):
         with pytest.raises(SpecError):
-            render_svg(PlotSpec(kind=KIND_BIFURCATION), orbit)
-        with pytest.raises(SpecError):
-            render_svg(PlotSpec(kind=KIND_COBWEB), scan)
-
-    def test_unknown_kind_is_rejected(self, orbit):
-        with pytest.raises(SpecError):
-            render_svg(PlotSpec(kind="pie-chart"), orbit)
+            render_svg(PlotSpec(), object())
 
     def test_bad_y_field_is_rejected(self, scan):
         with pytest.raises(SpecError):
-            render_svg(PlotSpec(kind=KIND_BIFURCATION, y_field="speed"), scan)
+            render_svg(PlotSpec(y_field="speed"), scan)
 
-    @pytest.mark.parametrize(
-        "bad_range", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.inf)]
-    )
-    def test_degenerate_explicit_ranges_are_rejected(self, orbit, bad_range):
-        with pytest.raises(RenderError):
-            render_svg(PlotSpec(kind=KIND_COBWEB, x_range=bad_range), orbit)
+
+class _TaggedOrbit(Orbit):
+    """An Orbit subclass: every emitter finds the Orbit schema through the MRO."""
+
+
+def test_orbit_subclass_emits_the_orbit_bytes(orbit):
+    tagged = _TaggedOrbit(orbit.params, orbit.k0, orbit.n, orbit.states, orbit.escaped)
+    for emitter in (write_csv, write_json):
+        plain, sub = io.StringIO(), io.StringIO()
+        emitter(orbit, plain)
+        emitter(tagged, sub)
+        assert sub.getvalue() == plain.getvalue()
+    spec = PlotSpec(title="cobweb")
+    assert render_svg(spec, tagged) == render_svg(spec, orbit)

@@ -23,7 +23,6 @@ from greenberg_dynamics import emit
 from greenberg_dynamics.analysis import bifurcation_scan, lyapunov_curve
 from greenberg_dynamics.dynamics import iterate, sensitivity_experiment
 from greenberg_dynamics.emit import (
-    KIND_BIFURCATION,
     DiagramPayload,
     PlotSpec,
     _json_text,
@@ -120,14 +119,10 @@ def ref_bifurcation_panels(spec, scan):
     for v0, states in zip(scan.v0_grid, scan.samples):
         for s in states:
             points.append((v0, getattr(s, spec.y_field)))
-    slots = list(emit._panel_slots(spec, 1))
-    x_range = emit._auto_range(list(scan.v0_grid), pad=0.02)
-    y_range = emit._auto_range([y for _, y in points])
-    panel = emit._make_panel(
-        spec, slots[0], x_range, y_range, "optimum velocity v0", spec.y_field, 0
-    )
-    if spec.show_threshold:
-        panel.vline(2.0, emit._PATH_COLOR)
+    x_lim = emit._auto_range(list(scan.v0_grid), pad=0.02)
+    y_lim = emit._auto_range([y for _, y in points])
+    [panel] = emit._layout((x_lim, y_lim, "optimum velocity v0", spec.y_field))
+    panel.vline(2.0, emit._PATH_COLOR)
     for x, y in points:
         panel.elements.append(ref_dot(panel, x, y, emit._CURVE_COLOR, 0.7))
     return [panel]
@@ -203,11 +198,13 @@ def test_json_byte_count_is_the_encoded_length():
 def scans(draw):
     """Small real scans, two kinds of them with escaped points.
 
-    "kj": the grid ends at v0 = e, started from the map maximum 1/e, whose
-    orbit reaches kj and then 0 at step 2, so the point escapes with no
-    samples. "underflow": v0 near 1e-3 from k0 near 1e-300, where each step
-    multiplies k by v0 * ln(1/k) < 1 until it underflows to 0, late enough
-    for some points to escape with partial samples.
+    "kj": the grid ends at v0 = e and every point starts from the map
+    maximum 1/e. At v0 = e that orbit reaches kj and then 0 at step 2, so
+    the point escapes with no samples; below e the map never leaves
+    (0, v0/e], so no other point escapes. "underflow": v0 near 1e-3 from k0
+    near 1e-300, where each step multiplies k by v0 * ln(1/k) < 1 until k is
+    subnormal and 1/k overflows to inf, so the next step leaves (0, 1],
+    late enough for some points to escape with partial samples.
     """
     n_total = draw(st.integers(2, 120))
     n_keep = draw(st.integers(1, n_total - 1))
@@ -219,7 +216,7 @@ def scans(draw):
     else:
         v0_max = math.e if kind == "kj" else draw(st.floats(0.1, math.e))
         v0_lo, k0 = 0.05, draw(st.floats(0.01, 0.99))
-    start = (lambda v0: INV_E if v0 == math.e else k0) if kind == "kj" else k0
+    start = INV_E if kind == "kj" else k0
     v0_min = v0_max if steps == 1 else draw(st.floats(v0_lo, v0_max, exclude_max=True))
     return bifurcation_scan(v0_min, v0_max, steps, k0=start, n_total=n_total, n_keep=n_keep)
 
@@ -231,18 +228,16 @@ def test_scan_csv_matches_reference(scan):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scans(), st.sampled_from("kqv"), st.booleans())
-def test_bifurcation_svg_matches_reference(scan, y_field, show_threshold):
-    spec = PlotSpec(kind=KIND_BIFURCATION, y_field=y_field, show_threshold=show_threshold)
+@given(scans(), st.sampled_from("kqv"))
+def test_bifurcation_svg_matches_reference(scan, y_field):
+    spec = PlotSpec(y_field=y_field)
     assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
 
 
 def test_scans_with_escapes_and_periods_match_reference():
     # pinned examples of what the properties above draw: points escaped with
     # no samples and with partial samples, and points with a detected period
-    escaped = bifurcation_scan(
-        2.25, math.e, 3, k0=lambda v0: INV_E if v0 == math.e else 0.3, n_total=3, n_keep=2
-    )
+    escaped = bifurcation_scan(2.25, math.e, 3, k0=INV_E, n_total=3, n_keep=2)
     assert escaped.escaped == (False, False, True) and len(escaped.samples[-1]) == 0
     partial = bifurcation_scan(0.0005, 0.0012, 3, k0=1e-300, n_total=60, n_keep=40)
     assert partial.escaped == (True, True, False)
@@ -252,7 +247,7 @@ def test_scans_with_escapes_and_periods_match_reference():
     for scan in (escaped, partial, periodic):
         assert csv_text(scan) == ref_csv(ref_scan_rows, scan)
         for y_field in "kqv":
-            spec = PlotSpec(kind=KIND_BIFURCATION, y_field=y_field)
+            spec = PlotSpec(y_field=y_field)
             assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
 
 
