@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import cycle, islice
 from typing import Sequence
 
-from .dynamics import _states, _trajectory
+from .dynamics import _cycle_block, _states, _trajectory
 from .errors import ArgumentError, DomainError, EscapeError
 from .model import TrafficParams, TrafficState
 
@@ -35,10 +35,6 @@ DEFAULT_PERIOD_TOLERANCE = 1e-6
 DEFAULT_MAX_PERIOD = 64
 DEFAULT_LYAPUNOV_TERMS = 10_000
 DEFAULT_LYAPUNOV_TRANSIENT = 1_000
-
-# Steps between the densities _lyapunov_terms saves to spot an exact float
-# cycle; cycles up to this length are found.
-_CYCLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -330,7 +326,8 @@ def _lyapunov_terms(
     v0 * (ln(kj / k) - 1) and the step. The last term is peeled off so that
     no step follows it.
 
-    Both loops compare each density with one saved every _CYCLE_BLOCK steps.
+    Both loops compare each density with one saved on the schedule of
+    dynamics._cycle_block, the one _trajectory uses.
     A float orbit that returns to the saved density exactly is periodic from
     there on, because the step and the term are pure functions of k; and it
     never escapes, because every point of the cycle was already checked. The
@@ -346,7 +343,7 @@ def _lyapunov_terms(
     index = 0
     while index < n_transient:
         saved = k
-        block = min(_CYCLE_BLOCK, n_transient - index)
+        block = min(_cycle_block(index), n_transient - index)
         for step in range(1, block + 1):
             k = v0 * k * log(kj / k)
             if not (0.0 < k <= kj):
@@ -363,7 +360,7 @@ def _lyapunov_terms(
     terms = 0
     while terms < n - 1:
         saved = k
-        block = min(_CYCLE_BLOCK, n - 1 - terms)
+        block = min(_cycle_block(terms), n - 1 - terms)
         for step in range(1, block + 1):
             ratio = log(kj / k)
             slope_size = abs(v0 * (ratio - 1.0))

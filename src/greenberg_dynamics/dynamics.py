@@ -3,14 +3,20 @@
 The advance rule identifies the next density with the current flow:
 k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built. The
 package has two map loops. ``_trajectory`` here takes one logarithm
-ln(kj / k) per step and keeps every density and ratio: orbits, sensitivity
-runs and the bifurcation scan's attractor tails derive the flow
+ln(kj / k) per step and returns every density and ratio: orbits,
+sensitivity runs and the bifurcation scan's attractor tails derive the flow
 v0 * k * ln(kj / k) and the velocity v0 * ln(kj / k) from them.
 ``analysis._lyapunov_terms`` streams instead: it keeps no point and folds
 the slope v0 * (ln(kj / k) - 1) into a running sum as it steps, because the
 Lyapunov sweep reads each of its 11 000 points per grid value only once.
-Once its float orbit repeats a density exactly, it replays the cycle's
-terms instead of stepping on, so stable orbits cost far fewer logarithms.
+
+Both loops compare each density with one saved on the schedule of
+``_cycle_block``. Once the float orbit returns to a saved density exactly,
+it is periodic from there on, because the step is a pure function of k,
+and it cannot escape, because every point of the cycle was already checked.
+``_trajectory`` then repeats the cycle's densities and ratios instead of
+stepping, and ``_states`` builds one state per distinct density, so a
+stable orbit costs a few logarithms and a few states per cycle point.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 import warnings
 
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 from .errors import ArgumentError, DomainError, EscapeWarning
 from .model import TrafficParams, TrafficState
@@ -26,6 +33,11 @@ from .model import TrafficParams, TrafficState
 DEFAULT_ITERATIONS = 300
 DEFAULT_SENSITIVITY_DELTA = 1e-3
 DEFAULT_SENSITIVITY_THRESHOLD = 0.1
+
+# The map loops save the density at step 0, 1, 2, 4, ... up to this many
+# and then every this many steps; a cycle is found once a save falls on it
+# and its length fits before the next save.
+_CYCLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,11 @@ class SensitivityResult:
     first_divergence_index: int | None
 
 
+def _cycle_block(index: int) -> int:
+    """Steps from the density saved at ``index`` to the next save."""
+    return min(max(index, 1), _CYCLE_BLOCK)
+
+
 def _trajectory(
     k: float, p: TrafficParams, n: int
 ) -> tuple[list[float], list[float], float | None]:
@@ -67,20 +84,32 @@ def _trajectory(
     Returns the in-domain densities k_0, k_1, ..., the ratio ln(kj / k_i) of
     each (the same length), and the first successor that left (0, kj], or
     None when all n steps stayed inside. On escape the densities stop just
-    before the escaped iterate, whose index is their length.
+    before the escaped iterate, whose index is their length. Once a density
+    equals the last saved one, the rest of both lists repeats the cycle
+    between them instead of stepping; every float is the one stepping would
+    give.
     """
     if not (0.0 < k <= p.kj):
         raise DomainError(f"density must lie in (0, {p.kj}], got {k}")
     v0, kj, log = p.v0, p.kj, math.log
     densities = [k]
     ratios: list[float] = []
-    for _ in range(n):
-        ratio = log(kj / k)
-        ratios.append(ratio)
-        k = v0 * k * ratio
-        if not (0.0 < k <= kj):
-            return densities, ratios, k
-        densities.append(k)
+    start = 0
+    while start < n:
+        saved = k
+        stop = min(start + _cycle_block(start), n)
+        for index in range(start + 1, stop + 1):
+            ratio = log(kj / k)
+            ratios.append(ratio)
+            k = v0 * k * ratio
+            if not (0.0 < k <= kj):
+                return densities, ratios, k
+            densities.append(k)
+            if k == saved:
+                densities += islice(cycle(densities[start + 1:]), n - index)
+                ratios += islice(cycle(ratios[start:]), n + 1 - index)
+                return densities, ratios, None
+        start = stop
     ratios.append(log(kj / k))
     return densities, ratios, None
 
@@ -88,12 +117,17 @@ def _trajectory(
 def _states(
     densities: list[float], ratios: list[float], p: TrafficParams
 ) -> tuple[TrafficState, ...]:
-    """Diagram states from densities and their ratios ln(kj / k)."""
+    """Diagram states from densities and their ratios ln(kj / k).
+
+    The ratio, flow and velocity are pure functions of k for one p, so each
+    distinct density gets one state, repeated wherever the density recurs.
+    """
     v0 = p.v0
-    return tuple(
-        TrafficState(k=k, q=v0 * k * ratio, v=v0 * ratio)
-        for k, ratio in zip(densities, ratios)
-    )
+    built = {
+        k: TrafficState(k=k, q=v0 * k * ratio, v=v0 * ratio)
+        for k, ratio in dict(zip(densities, ratios)).items()
+    }
+    return tuple(map(built.__getitem__, densities))
 
 
 def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:

@@ -5,11 +5,15 @@ exactly; JSON uses the shortest exact representation. SVG output is plain
 text with no external dependencies, and identical payload + spec pairs
 always produce byte-identical documents.
 
-Every document is built whole in memory and written in one call. The cost
-is per value, so each value is formatted by as few calls as possible: one
-%-format per CSV row and per SVG dot, the shared v0 prefix of a bifurcation
-point formatted once, and every JSON array of numbers encoded by json's C
-encoder in one call (``_json_text``).
+Every document is built whole in memory and written in one call. Its cost
+is formatting numbers, and the large documents repeat most of theirs: a
+bifurcation point that settles on a cycle repeats the cycle's states, and
+each flow is the next density. So the bulk builders format each distinct
+number once per document and look the text up after that (``_Texts``):
+the scan's CSV fields, the JSON arrays of floats (``_json_text``) and the
+ordinate pixels of the bifurcation dots. What remains is one %-format per
+CSV row and per dot, with the v0 prefix of a scan point formatted once, and
+json's C encoder for every other array of numbers.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -79,6 +83,27 @@ class _Schema:
     panels: Callable  # (spec, payload) -> the SVG panels
 
 
+class _Texts(dict):
+    """The text of each number in one document, formatted on its first use.
+
+    Equal numbers share a text, so only finite non-zero ones are kept: 0.0
+    and -0.0 are equal but print differently, and a NaN or an infinity, an
+    error in JSON, is formatted afresh on every use rather than remembered.
+    The CSV and SVG formats give equal numbers equal text otherwise; JSON
+    looks up only lists of finite floats, because it tells 1 from 1.0.
+    """
+
+    def __init__(self, format: Callable[[float], str]):
+        super().__init__()
+        self.format = format
+
+    def __missing__(self, x) -> str:
+        text = self.format(x)
+        if x != 0.0 and math.isfinite(x):
+            self[x] = text
+        return text
+
+
 def _sink(destination):
     if hasattr(destination, "write"):
         return nullcontext(destination)
@@ -134,13 +159,14 @@ def _diagram_data(payload: DiagramPayload) -> dict:
 
 
 def _scan_rows(scan: BifurcationScan) -> list[str]:
+    text = _Texts("%.17g".__mod__)
     rows = []
     for v0, states, period in zip(scan.v0_grid, scan.samples, scan.detected_periods):
         # The v0 prefix and the period suffix are shared by every sample of a point.
         prefix = "%.17g," % v0
         suffix = ",%d\n" % (APERIODIC_CSV_MARKER if period is None else period)
         rows.extend(
-            "%s%d,%.17g,%.17g,%.17g%s" % (prefix, j, s.k, s.q, s.v, suffix)
+            "%s%d,%s,%s,%s%s" % (prefix, j, text[s.k], text[s.q], text[s.v], suffix)
             for j, s in enumerate(states)
         )
     return rows
@@ -239,37 +265,60 @@ def _document(payload) -> dict:
     return envelope(schema.kind, schema.settings(payload), schema.data(payload))
 
 
-def _json_text(obj, depth: int) -> str:
-    """The text of ``json.dumps(obj, indent=2, allow_nan=False)`` nested ``depth`` deep.
+_JSON_SCALARS = {float, int, bool, type(None)}
+
+
+def _json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False)``.
+
+    NaN and infinities raise ValueError, as in json.
+    """
+    parts: list[str] = []
+    _json_parts(obj, 0, parts, _Texts(float.__repr__))
+    return "".join(parts)
+
+
+def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> None:
+    """Append the text of ``obj`` nested ``depth`` deep to ``parts``.
 
     json ignores its C encoder once ``indent`` is set. Here dicts (with str
-    keys) and lists holding containers or strings are walked in Python,
-    while a list of numbers, bools and None goes to the C encoder in one
-    call; with no string inside, every ", " in that text is a separator and
-    becomes the indented line break. NaN and infinities raise ValueError.
+    keys) and lists holding anything but numbers, bools and None are walked
+    in Python, and the text is joined once by the caller, not copied at
+    every level. The element types of a list are read once, in C. A list of
+    finite floats joins their texts from ``floats``, the document's memo, so
+    each distinct float is formatted once. Any other list of numbers, bools
+    and None goes to the C encoder in one call, which rejects NaN and
+    infinities; with no string inside, every ", " in its text is a
+    separator and becomes the indented line break.
     """
+    if not isinstance(obj, (dict, list, tuple)):
+        parts.append(json.dumps(obj, allow_nan=False))
+        return
+    if not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+        return
     inner = "\n" + "  " * (depth + 1)
+    sep = inner
     if isinstance(obj, dict):
-        items = [
-            json.dumps(key) + ": " + _json_text(value, depth + 1)
-            for key, value in obj.items()
-        ]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        if any(isinstance(x, (str, list, tuple, dict)) for x in obj):
-            items = [_json_text(x, depth + 1) for x in obj]
-        else:
-            flat = json.dumps(obj, allow_nan=False)[1:-1]
-            items = [flat.replace(", ", "," + inner)] if obj else []
-        brackets = "[]"
+        parts.append("{")
+        for key, value in obj.items():
+            parts += (sep, json.dumps(key), ": ")
+            _json_parts(value, depth + 1, parts, floats)
+            sep = "," + inner
+        parts.append("\n" + "  " * depth + "}")
+        return
+    parts.append("[")
+    kinds = set(map(type, obj))
+    if kinds == {float} and all(map(math.isfinite, obj)):
+        parts += (inner, ("," + inner).join(map(floats.__getitem__, obj)))
+    elif kinds <= _JSON_SCALARS:
+        parts += (inner, json.dumps(obj, allow_nan=False)[1:-1].replace(", ", "," + inner))
     else:
-        return json.dumps(obj, allow_nan=False)
-    if not items:
-        return brackets
-    return (
-        brackets[0] + inner + ("," + inner).join(items)
-        + "\n" + "  " * depth + brackets[1]
-    )
+        for x in obj:
+            parts.append(sep)
+            _json_parts(x, depth + 1, parts, floats)
+            sep = "," + inner
+    parts.append("\n" + "  " * depth + "]")
 
 
 def write_json(payload, destination) -> int:
@@ -279,7 +328,7 @@ def write_json(payload, destination) -> int:
     """
     document = _document(payload)
     try:
-        text = _json_text(document, 0) + "\n"
+        text = _json_text(document) + "\n"
     except ValueError as exc:
         raise DomainError(f"{document['kind']} document holds a non-finite number") from exc
     with _sink(destination) as out:
@@ -340,13 +389,10 @@ class _Panel:
             for x, y in points
         )
 
-    def column(self, x, ys, color, radius):
-        """Dots sharing the abscissa x: cx is formatted once, each dot by one %-format."""
-        dot = '<circle cx="%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (self.px(x), radius, color)
-        # py(y) inlined with its operation order kept, so every cy rounds the same
-        base, span = self.top + self.height, self.y1 - self.y0
-        y0, height = self.y0, self.height
-        self.elements.extend(dot % (base - (y - y0) / span * height) for y in ys)
+    def column(self, x, cys, color, radius):
+        """Dots sharing the abscissa x, one per formatted ordinate pixel in cys."""
+        dot = '<circle cx="%.2f" cy="%%s" r="%s" fill="%s"/>' % (self.px(x), radius, color)
+        self.elements.extend(map(dot.__mod__, cys))
 
     def hline(self, y, color):
         if self.y0 <= y <= self.y1:
@@ -481,8 +527,9 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     y_lim = _auto_range([y for ys in columns for y in ys])
     [panel] = _layout((x_lim, y_lim, "optimum velocity v0", spec.y_field))
     panel.vline(2.0, _PATH_COLOR)
+    cy = _Texts(lambda y: "%.2f" % panel.py(y))
     for v0, ys in zip(scan.v0_grid, columns):
-        panel.column(v0, ys, _CURVE_COLOR, radius=0.7)
+        panel.column(v0, map(cy.__getitem__, ys), _CURVE_COLOR, radius=0.7)
     return [panel]
 
 

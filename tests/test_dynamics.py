@@ -96,8 +96,6 @@ class TestIterate:
         # ln(1/k) <= 1 on [1/e, 1], so one step shrinks the density by v0
         assert flow_of_density(k, TrafficParams(v0=v0)) <= v0 * k * (1.0 + 1e-12)
 
-
-class TestVelocitySequence:
     def test_two_cycle_velocities(self):
         orbit = iterate(0.35, TrafficParams(v0=2.25), 300)
         tail = sorted(s.v for s in orbit.states[-2:])

@@ -1,11 +1,13 @@
 """Byte identity of the bulk emitters against the plain per-value builders.
 
-The emitters build each CSV row and each SVG dot with one %-format, and
-encode JSON arrays of numbers with json's C encoder. The references below
-are the straightforward builders they replaced: ``json.dumps(indent=2)``,
-one f-string with ``format(x, ".17g")`` per CSV row, and one f-string per
-bifurcation dot from a flat (v0, y) point list with the panel's pixel
-mapping written out. Every document must agree byte for byte.
+The emitters build each CSV row and each SVG dot with one %-format, encode
+JSON arrays of numbers with json's C encoder, and format each distinct float
+of a scan once per document, looking up its text after that. The references
+below are the straightforward builders they replaced:
+``json.dumps(indent=2)``, one f-string with ``format(x, ".17g")`` per CSV
+row, and one f-string per bifurcation dot from a flat (v0, y) point list
+with the panel's pixel mapping written out. Every document must agree byte
+for byte.
 """
 
 import dataclasses
@@ -16,11 +18,16 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenberg_dynamics import emit
-from greenberg_dynamics.analysis import bifurcation_scan, lyapunov_curve
+from greenberg_dynamics.analysis import (
+    BifurcationScan,
+    ScanSettings,
+    bifurcation_scan,
+    lyapunov_curve,
+)
 from greenberg_dynamics.dynamics import iterate, sensitivity_experiment
 from greenberg_dynamics.emit import (
     DiagramPayload,
@@ -30,8 +37,8 @@ from greenberg_dynamics.emit import (
     write_csv,
     write_json,
 )
-from greenberg_dynamics.errors import EscapeWarning
-from greenberg_dynamics.model import TrafficParams, diagram_samples
+from greenberg_dynamics.errors import DomainError, EscapeWarning
+from greenberg_dynamics.model import TrafficParams, TrafficState, diagram_samples
 
 INV_E = math.exp(-1.0)
 
@@ -160,8 +167,10 @@ documents = st.recursive(
 
 
 @given(documents)
+@example([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])  # equal floats that print differently
+@example({"a": [1.0, 1.0], "b": [[1, True, 1.0], [1.0, 1]]})  # equal numbers of three types
 def test_json_text_matches_indented_dumps(doc):
-    assert _json_text(doc, 0) == json.dumps(doc, indent=2, allow_nan=False)
+    assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
 
 @given(
@@ -182,12 +191,12 @@ def test_json_text_rejects_non_finite_floats(doc, bad, place):
     with pytest.raises(ValueError):
         json.dumps(wrapped, indent=2, allow_nan=False)
     with pytest.raises(ValueError):
-        _json_text(wrapped, 0)
+        _json_text(wrapped)
 
 
 def test_json_byte_count_is_the_encoded_length():
     doc_with_non_ascii = {"é, ü": [" ", 1.5, None]}
-    text = _json_text(doc_with_non_ascii, 0)
+    text = _json_text(doc_with_non_ascii)
     assert len(text.encode("utf-8")) == len(text)
 
 
@@ -204,15 +213,20 @@ def scans(draw):
     (0, v0/e], so no other point escapes. "underflow": v0 near 1e-3 from k0
     near 1e-300, where each step multiplies k by v0 * ln(1/k) < 1 until k is
     subnormal and 1/k overflows to inf, so the next step leaves (0, 1],
-    late enough for some points to escape with partial samples.
+    late enough for some points to escape with partial samples. "cycles":
+    v0 in [0.9, 2.48] with 150 to 400 steps, where most orbits close an
+    exact float cycle before the kept window, so the tails repeat states.
     """
-    n_total = draw(st.integers(2, 120))
+    kind = draw(st.sampled_from(["plain", "kj", "underflow", "cycles"]))
+    n_total = draw(st.integers(150, 400) if kind == "cycles" else st.integers(2, 120))
     n_keep = draw(st.integers(1, n_total - 1))
     steps = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["plain", "kj", "underflow"]))
     if kind == "underflow":
         v0_max = draw(st.floats(0.001, 0.0013))
         v0_lo, k0 = 0.0005, draw(st.floats(1e-305, 1e-295))
+    elif kind == "cycles":
+        v0_max = draw(st.floats(0.9, 2.48, exclude_min=True))
+        v0_lo, k0 = 0.9, draw(st.floats(0.01, 0.99))
     else:
         v0_max = math.e if kind == "kj" else draw(st.floats(0.1, math.e))
         v0_lo, k0 = 0.05, draw(st.floats(0.01, 0.99))
@@ -242,6 +256,10 @@ def test_scans_with_escapes_and_periods_match_reference():
     partial = bifurcation_scan(0.0005, 0.0012, 3, k0=1e-300, n_total=60, n_keep=40)
     assert partial.escaped == (True, True, False)
     assert [len(s) for s in partial.samples] == [0, 17, 40]
+    # the last sample of the middle point overflowed: JSON rejects it as before
+    assert math.isinf(partial.samples[1][-1].q)
+    with pytest.raises(DomainError):
+        write_json(partial, io.StringIO())
     periodic = bifurcation_scan(2.25, 2.3, 2, n_total=200, n_keep=20)
     assert periodic.detected_periods == (2, 2)
     for scan in (escaped, partial, periodic):
@@ -249,6 +267,32 @@ def test_scans_with_escapes_and_periods_match_reference():
         for y_field in "kqv":
             spec = PlotSpec(y_field=y_field)
             assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
+
+
+def signed_zero_scan():
+    """A hand-built scan whose equal values print differently: 0.0 and -0.0, 1 and 1.0."""
+    states = (
+        TrafficState(k=0.5, q=0.0, v=-0.0),
+        TrafficState(k=0.5, q=-0.0, v=0.0),
+        TrafficState(k=1, q=1.0, v=True),
+        TrafficState(k=1.0, q=1, v=1.0),
+    )
+    settings = ScanSettings(k0=0.5, n_total=10, n_keep=4, tolerance=1e-6, max_period=2)
+    return BifurcationScan(
+        v0_grid=(1.0, 2.0),
+        samples=(states, states[::-1]),
+        detected_periods=(None, 2),
+        escaped=(False, False),
+        settings=settings,
+    )
+
+
+def test_signed_zeros_and_mixed_types_match_reference():
+    scan = signed_zero_scan()
+    assert csv_text(scan) == ref_csv(ref_scan_rows, scan)
+    for y_field in "kqv":
+        spec = PlotSpec(y_field=y_field)
+        assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
 
 
 # --- the other row builders and the cobweb dots ----------------------------
@@ -298,6 +342,8 @@ def test_every_payload_json_matches_indented_dumps():
         lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=50),
         sensitivity_experiment(0.1, 1e-3, p, n=30),
         DiagramPayload(p, tuple(diagram_samples(p, 20))),
+        bifurcation_scan(0.9, 2.48, 6, n_total=300, n_keep=60),
+        signed_zero_scan(),
     ]:
         out = io.StringIO()
         count = write_json(payload, out)

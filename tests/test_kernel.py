@@ -1,13 +1,14 @@
 """Bit-identity of the two map loops against a plain reference loop.
 
 ``iterate`` and ``_attractor_tail`` run on ``dynamics._trajectory``, which
-takes a single ln(kj / k) per step. ``_lyapunov_terms`` runs its own
-streaming loop, which takes one per step until the float orbit repeats a
-density exactly and then replays the cycle's terms instead of stepping.
-The reference below is the straightforward loop over the model formulas
-(flow, velocity and slope each computing their own logarithm, no replay);
-every float must agree bit for bit, which ``float.hex`` makes explicit, and
-every escape must be reported at the same step.
+takes a single ln(kj / k) per step until the float orbit repeats a density
+exactly and then repeats the cycle's densities and ratios instead of
+stepping. ``_lyapunov_terms`` runs its own streaming loop, which replays
+the cycle's terms the same way. The reference below is the straightforward
+loop over the model formulas (flow, velocity and slope each computing their
+own logarithm, no replay); every float must agree bit for bit, which
+``float.hex`` makes explicit, and every escape must be reported at the same
+step.
 """
 
 import math
@@ -23,9 +24,10 @@ from greenberg_dynamics.analysis import (
     SINGULARITY_FLOOR,
     _attractor_tail,
     _lyapunov_terms,
+    bifurcation_scan,
     lyapunov_curve,
 )
-from greenberg_dynamics.dynamics import _states, iterate
+from greenberg_dynamics.dynamics import _states, _trajectory, iterate
 from greenberg_dynamics.errors import EscapeError, EscapeWarning
 from greenberg_dynamics.model import TrafficParams
 
@@ -97,7 +99,52 @@ def params_and_k0(v0, kj, fraction):
     return TrafficParams(v0=v0, kj=kj), k0
 
 
+def count_logs(monkeypatch):
+    """Count math.log calls; the list collects each argument."""
+    calls = []
+    log = math.log
+
+    def counting_log(x):
+        calls.append(x)
+        return log(x)
+
+    monkeypatch.setattr(math, "log", counting_log)
+    return calls
+
+
+# At v0 = 0.5 the orbit from this k0 lands at step 1 on a float fixed point.
+STEP_ONE_FIXED_K0 = 0.666059855098374
+
+# (v0, k0, n, logarithms): _trajectory takes one ln(kj / k) per step until a
+# density equals the one saved at step 0, 1, 2, 4, ..., and repeats the
+# cycle from there. The 2-cycle from 0.35 first repeats at step 37 and is
+# found at step 66, against the save at 64; the 16-point float cycle of the
+# 8-cycle at v0 = 2.48 first repeats at step 147 and is found at step 272,
+# against the save at 256. Chaos takes all n + 1 logarithms.
+TRAJECTORY_PINS = [
+    (0.5, STEP_ONE_FIXED_K0, 300, 2),
+    (2.25, 0.35, 66, 66),  # the cycle closes exactly at step n
+    (2.25, 0.35, 300, 66),
+    (2.48, 0.23, 300, 272),
+    (2.585, 0.1, 300, 301),
+]
+
+
+@pytest.mark.parametrize("v0, k0, n, logs", TRAJECTORY_PINS)
+def test_trajectory_steps_until_a_cycle_closes(monkeypatch, v0, k0, n, logs):
+    calls = count_logs(monkeypatch)
+    densities, ratios, escaped = _trajectory(k0, TrafficParams(v0=v0), n)
+    monkeypatch.undo()
+    assert len(calls) == logs
+    assert len(densities) == len(ratios) == n + 1 and escaped is None
+
+
 @given(v0s, kjs, fractions, st.integers(1, 300))
+@example(0.5, 1.0, STEP_ONE_FIXED_K0, 300)  # a fixed point reached at step 1
+@example(2.25, 1.0, 0.35, 66)  # a cycle that closes exactly at step n
+@example(2.25, 1.0, 0.35, 300)  # the 2-cycle
+@example(2.48, 1.0, 0.23, 300)  # a 16-point float cycle of the 8-cycle
+@example(2.585, 1.0, 0.1, 300)  # chaotic: never repeats
 def test_iterate_matches_reference(v0, kj, fraction, n):
     p, k0 = params_and_k0(v0, kj, fraction)
     ks, escape_index, escaped_k = ref_orbit(k0, p, n)
@@ -107,6 +154,8 @@ def test_iterate_matches_reference(v0, kj, fraction, n):
     assert hexes(s.k for s in orbit.states) == hexes(ks)
     assert hexes(s.q for s in orbit.states) == hexes(ref_flow(k, p) for k in ks)
     assert hexes(s.v for s in orbit.states) == hexes(ref_velocity(k, p) for k in ks)
+    # one state per distinct density, repeated wherever the density recurs
+    assert len({id(s) for s in orbit.states}) == len(set(ks))
     assert orbit.escaped == escape_index
     if escape_index is None:
         assert not caught
@@ -117,10 +166,15 @@ def test_iterate_matches_reference(v0, kj, fraction, n):
         assert f"at iterate {escape_index} (density {escaped_k})" in str(warning.message)
 
 
-@given(v0s, kjs, fractions, st.integers(2, 400), st.data())
-def test_attractor_tail_matches_reference(v0, kj, fraction, n_total, data):
+@given(v0s, kjs, fractions, st.integers(2, 400), st.integers(1, 399))
+@example(0.5, 1.0, STEP_ONE_FIXED_K0, 300, 60)  # a fixed point reached at step 1
+@example(2.25, 1.0, 0.35, 66, 60)  # a cycle that closes exactly at step n_total
+@example(2.25, 1.0, 0.35, 300, 60)  # the 2-cycle
+@example(2.48, 1.0, 0.23, 300, 60)  # a 16-point float cycle of the 8-cycle
+@example(2.585, 1.0, 0.1, 300, 60)  # chaotic: never repeats
+def test_attractor_tail_matches_reference(v0, kj, fraction, n_total, n_keep):
     p, k0 = params_and_k0(v0, kj, fraction)
-    n_keep = data.draw(st.integers(1, n_total - 1))
+    assume(n_keep < n_total)
     ks, escape_index, _ = ref_orbit(k0, p, n_total)
     expected = ks[n_total - n_keep + 1:]
     tail, ratios, escaped = _attractor_tail(p, k0, n_total, n_keep)
@@ -129,6 +183,13 @@ def test_attractor_tail_matches_reference(v0, kj, fraction, n_total, data):
     states = _states(tail, ratios, p)
     assert hexes(s.q for s in states) == hexes(ref_flow(k, p) for k in expected)
     assert hexes(s.v for s in states) == hexes(ref_velocity(k, p) for k in expected)
+    assert len({id(s) for s in states}) == len(set(expected))
+
+
+def test_two_cycle_scan_tail_holds_two_states():
+    [tail] = bifurcation_scan(2.25, 2.25, 1, k0=0.35).samples
+    assert len(tail) == 60
+    assert len({id(s) for s in tail}) == 2
 
 
 # A v0 whose float orbit from 0.25 ends on a 2-cycle through a point where
@@ -239,14 +300,7 @@ def test_mixed_cycle_skips_its_singular_term_on_every_lap():
 
 def test_sink_replays_instead_of_stepping(monkeypatch):
     # stepping all 10 000 + 1 000 points would take 22 000 logarithms
-    calls = []
-    log = math.log
-
-    def counting_log(x):
-        calls.append(x)
-        return log(x)
-
-    monkeypatch.setattr(math, "log", counting_log)
+    calls = count_logs(monkeypatch)
     estimate = _lyapunov_terms(TrafficParams(v0=0.5), 0.25, 10_000, 1_000)[0]
     monkeypatch.undo()
     assert len(calls) < 1_000
