@@ -9,13 +9,10 @@ are recorded per grid point instead of raised.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
-from itertools import cycle, islice
 from typing import Sequence
 
-from .dynamics import _cycle_block, _states, _trajectory
+from .dynamics import _lyapunov_terms, _states, _trajectory
 from .errors import ArgumentError, DomainError, EscapeError
 from .model import TrafficParams, TrafficState
 
@@ -23,10 +20,6 @@ SINK = "hyperbolic-sink"
 SOURCE = "hyperbolic-source"
 CENTER = "center"
 DEGENERATE = "degenerate"
-
-# Terms with |f'| below this floor would send ln|f'| to -inf; the orbit can
-# land on the map maximum kj/e where f' = 0, so they are skipped and counted.
-SINGULARITY_FLOOR = 1e-300
 
 DEFAULT_SCAN_K0 = 0.25
 DEFAULT_SCAN_TOTAL = 300
@@ -308,114 +301,6 @@ def bifurcation_scan(
             max_period=DEFAULT_MAX_PERIOD,
         ),
     )
-
-
-def _lyapunov_terms(
-    p: TrafficParams, k0: float, n: int, n_transient: int
-) -> tuple[float, int, int]:
-    """Average ln|f'| over the n orbit points that follow n_transient steps from k0.
-
-    Returns (estimate, terms used, terms skipped). Raises EscapeError if one
-    of the n_transient + n - 1 steps the average needs leaves (0, kj]; the
-    successor of the last averaged point is never computed. When every term
-    is singular (a superstable orbit pinned to the map maximum) the estimate
-    is -inf, the true limit value.
-
-    Two streaming loops, no per-point lists: the transient loop only steps,
-    the averaging loop takes ln(kj / k) once per point for both the term
-    v0 * (ln(kj / k) - 1) and the step. The last term is peeled off so that
-    no step follows it.
-
-    Both loops compare each density with one saved on the schedule of
-    dynamics._cycle_block, the one _trajectory uses.
-    A float orbit that returns to the saved density exactly is periodic from
-    there on, because the step and the term are pure functions of k; and it
-    never escapes, because every point of the cycle was already checked. The
-    transient then skips whole cycles, and the averaging loop hands the rest
-    of the sum to _replay_cycle, which adds the same terms in the same order
-    as stepping would, so the result is bit-identical. Stable orbits reach
-    such a cycle within a few thousand steps; chaotic ones keep stepping.
-    """
-    if not (0.0 < k0 < p.kj):
-        raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
-    v0, kj, log, floor = p.v0, p.kj, math.log, SINGULARITY_FLOOR
-    k = k0
-    index = 0
-    while index < n_transient:
-        saved = k
-        block = min(_cycle_block(index), n_transient - index)
-        for step in range(1, block + 1):
-            k = v0 * k * log(kj / k)
-            if not (0.0 < k <= kj):
-                raise EscapeError(
-                    f"orbit left (0, {kj}] during transient step {index + step} at v0={v0}"
-                )
-            if k == saved:
-                index += (n_transient - index) // step * step
-                break
-        else:
-            index += block
-    acc = 0.0
-    skipped = 0
-    terms = 0
-    while terms < n - 1:
-        saved = k
-        block = min(_cycle_block(terms), n - 1 - terms)
-        for step in range(1, block + 1):
-            ratio = log(kj / k)
-            slope_size = abs(v0 * (ratio - 1.0))
-            if slope_size < floor:
-                skipped += 1
-            else:
-                acc += log(slope_size)
-            k = v0 * k * ratio
-            if not (0.0 < k <= kj):
-                raise EscapeError(
-                    f"orbit left (0, {kj}] after {terms + step} averaged terms at v0={v0}"
-                )
-            if k == saved:
-                rest = n - terms - step
-                acc, replay_skipped = _replay_cycle(p, k, step, rest, acc)
-                return _mean(acc, n, skipped + replay_skipped)
-        terms += block
-    slope_size = abs(v0 * (log(kj / k) - 1.0))
-    if slope_size < floor:
-        skipped += 1
-    else:
-        acc += log(slope_size)
-    return _mean(acc, n, skipped)
-
-
-def _replay_cycle(
-    p: TrafficParams, k: float, period: int, rest: int, acc: float
-) -> tuple[float, int]:
-    """Add the terms of the next rest points of the period-cycle through k to acc.
-
-    Computes the period terms once and adds them to acc one at a time, in
-    orbit order, exactly as the averaging loop would; sum() is not used,
-    because from Python 3.12 it compensates float sums and changes the bits.
-    Returns the new acc and the number of singular terms among the rest.
-    """
-    v0, kj, log = p.v0, p.kj, math.log
-    logs: list[float] = []  # ln|f'| of the regular points, in orbit order
-    regular: list[int] = []  # regular points among the first i + 1
-    for _ in range(period):
-        ratio = log(kj / k)
-        slope_size = abs(v0 * (ratio - 1.0))
-        if slope_size >= SINGULARITY_FLOOR:
-            logs.append(log(slope_size))
-        regular.append(len(logs))
-        k = v0 * k * ratio
-    cycles, part = divmod(rest, period)
-    adds = cycles * len(logs) + (regular[part - 1] if part else 0)
-    return reduce(operator.add, islice(cycle(logs), adds), acc), rest - adds
-
-
-def _mean(acc: float, n: int, skipped: int) -> tuple[float, int, int]:
-    used = n - skipped
-    if used == 0:
-        return -math.inf, 0, skipped
-    return acc / used, used, skipped
 
 
 def _check_lyapunov_lengths(n: int, n_transient: int) -> None:

@@ -86,13 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_out(p, *formats):
-        default_fmt = "all" if len(formats) > 1 else formats[0]
-        choices = [*formats, "all"] if len(formats) > 1 else list(formats)
-        p.add_argument("--format", dest="fmt", choices=choices, default=default_fmt)
+        if len(formats) > 1:
+            p.add_argument("--format", dest="fmt", choices=[*formats, "all"])
         p.add_argument("--out", default=".", help="output directory (created if absent)")
         # Not flags: "all" stands for these formats, and repro sets the prefix
         # that names its orbit files after the experiment.
-        p.set_defaults(formats=formats, prefix="")
+        p.set_defaults(fmt="all", formats=formats, prefix="")
 
     def add_grid(p, steps):
         p.add_argument("--v0-min", type=_positive_float, default=0.05)

@@ -1,38 +1,50 @@
 """Discrete iteration of the flow-density map and orbit-level experiments.
 
 The advance rule identifies the next density with the current flow:
-k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built. The
-package has two map loops. ``_trajectory`` here takes one logarithm
-ln(kj / k) per step and returns every density and ratio: orbits,
-sensitivity runs and the bifurcation scan's attractor tails derive the flow
-v0 * k * ln(kj / k) and the velocity v0 * ln(kj / k) from them.
-``analysis._lyapunov_terms`` streams instead: it keeps no point and folds
-the slope v0 * (ln(kj / k) - 1) into a running sum as it steps, because the
-Lyapunov sweep reads each of its 11 000 points per grid value only once.
+k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built. Every
+map step of the package is taken here, by one of three loops:
 
-Both loops compare each density with one saved on the schedule of
+- ``_trajectory`` takes one logarithm ln(kj / k) per step and returns every
+  density and ratio. Orbits, sensitivity runs, the bifurcation scan's
+  attractor tails and the Lyapunov cycle replay derive the flow
+  v0 * k * ln(kj / k), the velocity v0 * ln(kj / k) and the slope
+  v0 * (ln(kj / k) - 1) from them.
+- The transient loop of ``_lyapunov_terms`` only steps.
+- Its averaging loop keeps no point: it takes ln(kj / k) once for both the
+  term ln|f'| and the step, because the Lyapunov sweep reads each of its
+  11 000 points per grid value only once.
+
+Each loop compares each density with one saved on the schedule of
 ``_cycle_block``. Once the float orbit returns to a saved density exactly,
 it is periodic from there on, because the step is a pure function of k,
 and it cannot escape, because every point of the cycle was already checked.
-``_trajectory`` then repeats the cycle's densities and ratios instead of
-stepping, and ``_states`` builds one state per distinct density, so a
+Then ``_trajectory`` repeats the cycle's densities and ratios, the
+transient skips whole cycles, and the averaging loop hands the rest of its
+sum to ``_replay_cycle``, which adds the terms of one lap of
+``_trajectory``. ``_states`` builds one state per distinct density, so a
 stable orbit costs a few logarithms and a few states per cycle point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import cycle, islice
 
-from .errors import ArgumentError, DomainError, EscapeWarning
+from .errors import ArgumentError, DomainError, EscapeError, EscapeWarning
 from .model import TrafficParams, TrafficState
 
 DEFAULT_ITERATIONS = 300
 DEFAULT_SENSITIVITY_DELTA = 1e-3
 DEFAULT_SENSITIVITY_THRESHOLD = 0.1
+
+# Terms with |f'| below this floor would send ln|f'| to -inf; the orbit can
+# land on the map maximum kj/e where f' = 0, so they are skipped and counted.
+SINGULARITY_FLOOR = 1e-300
 
 # The map loops save the density at step 0, 1, 2, 4, ... up to this many
 # and then every this many steps; a cycle is found once a save falls on it
@@ -112,6 +124,94 @@ def _trajectory(
         start = stop
     ratios.append(log(kj / k))
     return densities, ratios, None
+
+
+def _lyapunov_terms(
+    p: TrafficParams, k0: float, n: int, n_transient: int
+) -> tuple[float, int, int]:
+    """Average ln|f'| over the n orbit points that follow n_transient steps from k0.
+
+    Returns (estimate, terms used, terms skipped). Raises EscapeError if one
+    of the n_transient + n - 1 steps the average needs leaves (0, kj]: each
+    point is checked before its term, so the successor of the last averaged
+    point is computed but never checked. When every term is singular (a
+    superstable orbit pinned to the map maximum) the estimate is -inf, the
+    true limit value. A replayed cycle adds the same terms in the same order
+    as stepping would, so the result is bit-identical. Stable orbits reach
+    such a cycle within a few thousand steps; chaotic ones keep stepping.
+    """
+    if not (0.0 < k0 < p.kj):
+        raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
+    v0, kj, log, floor = p.v0, p.kj, math.log, SINGULARITY_FLOOR
+    k = k0
+    index = 0
+    while index < n_transient:
+        saved = k
+        block = min(_cycle_block(index), n_transient - index)
+        for step in range(1, block + 1):
+            k = v0 * k * log(kj / k)
+            if not (0.0 < k <= kj):
+                raise EscapeError(
+                    f"orbit left (0, {kj}] during transient step {index + step} at v0={v0}"
+                )
+            if k == saved:
+                index += (n_transient - index) // step * step
+                break
+        else:
+            index += block
+    acc = 0.0
+    skipped = 0
+    terms = 0
+    while terms < n:
+        saved = k
+        block = min(_cycle_block(terms), n - terms)
+        # Counting steps within the block keeps the loop on CPython's cached
+        # small ints; counting terms would allocate an int per term past 256.
+        for step in range(1, block + 1):
+            if not (0.0 < k <= kj):
+                raise EscapeError(
+                    f"orbit left (0, {kj}] after {terms + step - 1} averaged terms at v0={v0}"
+                )
+            ratio = log(kj / k)
+            slope_size = abs(v0 * (ratio - 1.0))
+            if slope_size < floor:
+                skipped += 1
+            else:
+                acc += log(slope_size)
+            k = v0 * k * ratio
+            if k == saved:
+                acc, replay_skipped = _replay_cycle(p, k, step, n - terms - step, acc)
+                skipped += replay_skipped
+                block = n - terms  # the replay added every remaining term
+                break
+        terms += block
+    return _mean(acc, n, skipped)
+
+
+def _replay_cycle(
+    p: TrafficParams, k: float, period: int, rest: int, acc: float
+) -> tuple[float, int]:
+    """Add the terms of the next rest points of the period-cycle through k to acc.
+
+    Takes the cycle's ratios ln(kj / k) from one lap of _trajectory, computes
+    the period terms once and adds them to acc one at a time, in orbit order,
+    exactly as the averaging loop would; sum() does not add them, because
+    from Python 3.12 it compensates float sums and changes the bits. Returns
+    the new acc and the number of singular terms among the rest.
+    """
+    _, ratios, _ = _trajectory(k, p, period - 1)
+    sizes = [abs(p.v0 * (ratio - 1.0)) for ratio in ratios]
+    logs = [math.log(size) for size in sizes if size >= SINGULARITY_FLOOR]
+    cycles, part = divmod(rest, period)
+    adds = cycles * len(logs) + sum(size >= SINGULARITY_FLOOR for size in sizes[:part])
+    return reduce(operator.add, islice(cycle(logs), adds), acc), rest - adds
+
+
+def _mean(acc: float, n: int, skipped: int) -> tuple[float, int, int]:
+    used = n - skipped
+    if used == 0:
+        return -math.inf, 0, skipped
+    return acc / used, used, skipped
 
 
 def _states(

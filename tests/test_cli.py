@@ -123,6 +123,12 @@ class TestCobwebCommand:
         ) == 0
         ET.parse(tmp_path / "cobweb.svg")
 
+    def test_has_no_format_flag(self, tmp_path):
+        # svg is its only format, so there is nothing to choose
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cobweb", "--v0", "2.25", "--format", "svg", "--out", str(tmp_path))
+        assert exc.value.code == 2
+
 
 class TestDiagramCommand:
     def test_writes_all_formats(self, tmp_path):

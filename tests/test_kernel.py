@@ -1,12 +1,13 @@
-"""Bit-identity of the two map loops against a plain reference loop.
+"""Bit-identity of the map loops of ``dynamics`` against a plain reference loop.
 
-``iterate`` and ``_attractor_tail`` run on ``dynamics._trajectory``, which
-takes a single ln(kj / k) per step until the float orbit repeats a density
-exactly and then repeats the cycle's densities and ratios instead of
-stepping. ``_lyapunov_terms`` runs its own streaming loop, which replays
-the cycle's terms the same way. The reference below is the straightforward
-loop over the model formulas (flow, velocity and slope each computing their
-own logarithm, no replay); every float must agree bit for bit, which
+``iterate`` and ``_attractor_tail`` run on ``_trajectory``, which takes a
+single ln(kj / k) per step until the float orbit repeats a density exactly
+and then repeats the cycle's densities and ratios instead of stepping.
+``_lyapunov_terms`` steps in its own transient and averaging loops and
+hands the rest of a cycle's sum to ``_replay_cycle``, which reads one lap
+from ``_trajectory``. The reference below is the straightforward loop over
+the model formulas (flow, velocity and slope each computing their own
+logarithm, no replay); every float must agree bit for bit, which
 ``float.hex`` makes explicit, and every escape must be reported at the same
 step.
 """
@@ -19,15 +20,15 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from greenberg_dynamics import analysis
-from greenberg_dynamics.analysis import (
+from greenberg_dynamics import dynamics
+from greenberg_dynamics.analysis import _attractor_tail, bifurcation_scan, lyapunov_curve
+from greenberg_dynamics.dynamics import (
     SINGULARITY_FLOOR,
-    _attractor_tail,
     _lyapunov_terms,
-    bifurcation_scan,
-    lyapunov_curve,
+    _states,
+    _trajectory,
+    iterate,
 )
-from greenberg_dynamics.dynamics import _states, _trajectory, iterate
 from greenberg_dynamics.errors import EscapeError, EscapeWarning
 from greenberg_dynamics.model import TrafficParams
 
@@ -206,6 +207,7 @@ AVERAGING_CYCLES = [(2.25, 0.35, 2), (2.405, 0.275, 8), (2.48, 0.23, 16), (MIXED
 
 @given(v0s, kjs, fractions, st.integers(1, 2000), st.integers(0, 500))
 @example(0.5, 1.0, 0.25, 2000, 500)  # cycle found during the transient
+@example(0.5, 1.0, 0.25, 1, 500)  # cycle found on the only term: nothing left to replay
 @example(2.25, 1.0, 0.35, 2000, 0)  # cycles found while averaging
 @example(2.405, 1.0, 0.275, 2000, 0)
 @example(2.48, 1.0, 0.23, 2000, 0)
@@ -266,13 +268,13 @@ def test_superstable_orbit_skips_every_term(n, n_transient):
 def record_replays(monkeypatch):
     """Wrap _replay_cycle; the list collects (period, rest) of each replay."""
     replays = []
-    replay = analysis._replay_cycle
+    replay = dynamics._replay_cycle
 
     def recording(p, k, period, rest, acc):
         replays.append((period, rest))
         return replay(p, k, period, rest, acc)
 
-    monkeypatch.setattr(analysis, "_replay_cycle", recording)
+    monkeypatch.setattr(dynamics, "_replay_cycle", recording)
     return replays
 
 
