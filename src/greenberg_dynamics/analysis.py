@@ -244,21 +244,6 @@ def _parameter_grid(v0_min: float, v0_max: float, steps: int) -> list[float]:
     return [v0_min + i * width / (steps - 1) for i in range(steps)]
 
 
-def _attractor_tail(
-    p: TrafficParams, k0: float, n_total: int, n_keep: int
-) -> tuple[list[float], list[float], bool]:
-    """Iterate n_total steps and keep the last n_keep densities (1 <= n_keep < n_total).
-
-    Returns the retained densities (fewer on escape), their ratios
-    ln(kj / k) and an escape flag.
-    """
-    if not (0.0 < k0 < p.kj):
-        raise DomainError(f"scan initial density must lie in (0, {p.kj}), got {k0}")
-    densities, ratios, escaped = _trajectory(k0, p, n_total)
-    first = n_total - n_keep + 1
-    return densities[first:], ratios[first:], escaped is not None
-
-
 def bifurcation_scan(
     v0_min: float,
     v0_max: float,
@@ -270,22 +255,27 @@ def bifurcation_scan(
 ) -> BifurcationScan:
     """Sweep v0 over an ascending grid, sampling each attractor and its period.
 
-    Every grid point starts from ``k0``. The period search is capped at
+    Every grid point iterates n_total steps from ``k0`` (kj = 1) and keeps
+    the last n_keep densities. The period search is capped at
     min(DEFAULT_MAX_PERIOD, n_keep // 2), so the retained window always
     satisfies the detector's length requirement. An escaped grid point is
-    recorded, not raised: it keeps its partial samples, and the period
-    search runs on those.
+    recorded, not raised: it keeps its partial samples and carries no
+    period.
     """
     if n_keep < 1 or n_keep >= n_total:
         raise ArgumentError(f"need 1 <= n_keep < n_total, got keep={n_keep} total={n_total}")
     grid = _parameter_grid(v0_min, v0_max, steps)
+    if not (0.0 < k0 < 1.0):
+        raise DomainError(f"scan initial density must lie in (0, 1.0), got {k0}")
+    first = n_total - n_keep + 1
+    cap = min(DEFAULT_MAX_PERIOD, n_keep // 2)
 
     def scan_point(v0: float) -> tuple[tuple[TrafficState, ...], int | None, bool]:
         p = TrafficParams(v0=v0)
-        tail, ratios, escaped = _attractor_tail(p, k0, n_total, n_keep)
-        cap = min(DEFAULT_MAX_PERIOD, len(tail) // 2)
-        period = detect_period(tail, tolerance, cap) if cap >= 1 else None
-        return _states(tail, ratios, p), period, escaped
+        densities, ratios, escaped = _trajectory(k0, p, n_total)
+        tail = densities[first:]
+        period = detect_period(tail, tolerance, cap) if escaped is None and cap >= 1 else None
+        return _states(tail, ratios[first:], p), period, escaped is not None
 
     samples, periods, escaped = zip(*map(scan_point, grid))
     return BifurcationScan(

@@ -100,16 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k0", type=float, default=analysis.DEFAULT_SCAN_K0)
 
     p = sub.add_parser("diagram", help="fundamental diagram profiles")
+    p.set_defaults(handler=_cmd_diagram)
     p.add_argument("--v0", type=float, default=1.0)
     p.add_argument("--kj", type=_positive_float, default=1.0)
     p.add_argument("--n", type=_positive_int, default=400, help="sample count")
     add_out(p, "csv", "json", "svg")
 
-    for name, help_text, formats in (
-        ("orbit", "iterate the map and emit the orbit", ("csv", "json")),
-        ("cobweb", "orbit iteration drawn over the three diagrams", ("svg",)),
+    for name, help_text, formats, handler in (
+        ("orbit", "iterate the map and emit the orbit", ("csv", "json"), _cmd_orbit),
+        ("cobweb", "orbit iteration drawn over the three diagrams", ("svg",), _cmd_cobweb),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--v0", type=float, required=True)
         p.add_argument("--k0", type=float, default=0.25)
         p.add_argument("--kj", type=_positive_float, default=1.0)
@@ -117,31 +119,39 @@ def build_parser() -> argparse.ArgumentParser:
         add_out(p, *formats)
 
     p = sub.add_parser("classify", help="fixed point, multiplier and stability")
+    p.set_defaults(handler=_cmd_classify)
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--kj", type=_positive_float, default=1.0)
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
 
     p = sub.add_parser("bifurcation", help="attractor samples over a v0 grid")
+    p.set_defaults(handler=_cmd_bifurcation)
     add_grid(p, 1000)
     p.add_argument(
-        "--n", type=_positive_int, default=analysis.DEFAULT_SCAN_TOTAL,
-        help="iterations per point",
+        "--n", dest="n_total", metavar="N", type=_positive_int,
+        default=analysis.DEFAULT_SCAN_TOTAL, help="iterations per point",
     )
-    p.add_argument("--keep", type=_positive_int, default=analysis.DEFAULT_SCAN_KEEP)
+    p.add_argument(
+        "--keep", dest="n_keep", metavar="KEEP", type=_positive_int,
+        default=analysis.DEFAULT_SCAN_KEEP,
+    )
     p.add_argument(
         "--tolerance", type=_positive_float, default=analysis.DEFAULT_PERIOD_TOLERANCE
     )
     add_out(p, "csv", "json", "svg")
 
     p = sub.add_parser("lyapunov", help="Lyapunov exponent over a v0 grid")
+    p.set_defaults(handler=_cmd_lyapunov)
     add_grid(p, 200)
     p.add_argument("--n", type=_positive_int, default=analysis.DEFAULT_LYAPUNOV_TERMS)
     p.add_argument(
-        "--transient", type=_non_negative_int, default=analysis.DEFAULT_LYAPUNOV_TRANSIENT
+        "--transient", dest="n_transient", metavar="TRANSIENT", type=_non_negative_int,
+        default=analysis.DEFAULT_LYAPUNOV_TRANSIENT,
     )
     add_out(p, "csv", "json", "svg")
 
     p = sub.add_parser("sensitivity", help="two nearby orbits and their separation")
+    p.set_defaults(handler=_cmd_sensitivity)
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--k0", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=DEFAULT_SENSITIVITY_DELTA)
@@ -149,6 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=DEFAULT_ITERATIONS)
     p.add_argument(
         "--tolerance",
+        dest="threshold",
+        metavar="TOLERANCE",
         type=_positive_float,
         default=DEFAULT_SENSITIVITY_THRESHOLD,
         help="separation threshold marking divergence",
@@ -156,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p, "csv", "json", "svg")
 
     p = sub.add_parser("repro", help="run the full set of reference experiments")
+    p.set_defaults(handler=_cmd_repro)
     p.add_argument("--out", default="greenberg-repro")
 
     return parser
@@ -207,11 +220,16 @@ def _warn_escape(orbit: Orbit) -> None:
 
 
 # Each handler returns the files it wrote and the settings it ran the
-# library with; repro records both in its manifest.
+# library with; repro records both in its manifest. Every flag's dest is the
+# library's parameter name, so the settings are read from the namespace.
+
+
+def _settings(args: argparse.Namespace, *names: str) -> dict:
+    return {name: getattr(args, name) for name in names}
 
 
 def _cmd_diagram(args: argparse.Namespace) -> tuple[list[str], dict]:
-    settings = {"v0": args.v0, "kj": args.kj, "n": args.n}
+    settings = _settings(args, "v0", "kj", "n")
     p = TrafficParams(v0=args.v0, kj=args.kj)
     payload = emit.DiagramPayload(params=p, samples=tuple(diagram_samples(p, args.n)))
     spec = emit.PlotSpec(title=f"Greenberg diagrams, v0={p.v0:g}")
@@ -219,7 +237,7 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def _orbit(args: argparse.Namespace) -> tuple[Orbit, dict]:
-    settings = {"v0": args.v0, "kj": args.kj, "k0": args.k0, "n": args.n}
+    settings = _settings(args, "v0", "kj", "k0", "n")
     orbit = _quiet(iterate, args.k0, TrafficParams(v0=args.v0, kj=args.kj), args.n)
     _warn_escape(orbit)
     return orbit, settings
@@ -242,7 +260,7 @@ def _cmd_cobweb(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[list[str], dict]:
-    settings = {"v0": args.v0, "kj": args.kj}
+    settings = _settings(args, "v0", "kj")
     report = analysis.classify_fixed_point(TrafficParams(**settings))
     if args.fmt == "json":
         doc = emit.envelope("fixed-point-report", settings, asdict(report))
@@ -256,15 +274,9 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def _cmd_bifurcation(args: argparse.Namespace) -> tuple[list[str], dict]:
-    settings = {
-        "v0_min": args.v0_min,
-        "v0_max": args.v0_max,
-        "steps": args.steps,
-        "k0": args.k0,
-        "n_total": args.n,
-        "n_keep": args.keep,
-        "tolerance": args.tolerance,
-    }
+    settings = _settings(
+        args, "v0_min", "v0_max", "steps", "k0", "n_total", "n_keep", "tolerance"
+    )
     scan = analysis.bifurcation_scan(**settings)
     escaped = sum(scan.escaped)
     if escaped:
@@ -277,14 +289,7 @@ def _cmd_bifurcation(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def _cmd_lyapunov(args: argparse.Namespace) -> tuple[list[str], dict]:
-    settings = {
-        "v0_min": args.v0_min,
-        "v0_max": args.v0_max,
-        "steps": args.steps,
-        "k0": args.k0,
-        "n": args.n,
-        "n_transient": args.transient,
-    }
+    settings = _settings(args, "v0_min", "v0_max", "steps", "k0", "n", "n_transient")
     curve = analysis.lyapunov_curve(**settings)
     missing = sum(1 for lam in curve.lambdas if lam is None)
     if missing:
@@ -298,17 +303,10 @@ def _cmd_lyapunov(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> tuple[list[str], dict]:
-    settings = {
-        "v0": args.v0,
-        "kj": args.kj,
-        "k0": args.k0,
-        "delta": args.delta,
-        "n": args.n,
-        "threshold": args.tolerance,
-    }
+    settings = _settings(args, "v0", "kj", "k0", "delta", "n", "threshold")
     p = TrafficParams(v0=args.v0, kj=args.kj)
     result = _quiet(
-        sensitivity_experiment, args.k0, args.delta, p, n=args.n, threshold=args.tolerance
+        sensitivity_experiment, args.k0, args.delta, p, n=args.n, threshold=args.threshold
     )
     for orbit in (result.orbit_a, result.orbit_b):
         _warn_escape(orbit)
@@ -332,7 +330,7 @@ def _cmd_repro(args: argparse.Namespace) -> tuple[list[str], dict]:
             run = parser.parse_args([command, *flags.split(), f"--out={args.out}"])
             if "orbit" in commands:
                 run.prefix = f"{name}_"
-            written, settings = _HANDLERS[command](run)
+            written, settings = run.handler(run)
             files += written
         experiments.append({"name": name, "settings": settings, "files": files})
     doc = {
@@ -346,22 +344,10 @@ def _cmd_repro(args: argparse.Namespace) -> tuple[list[str], dict]:
     return [str(path)], {}
 
 
-_HANDLERS = {
-    "diagram": _cmd_diagram,
-    "orbit": _cmd_orbit,
-    "cobweb": _cmd_cobweb,
-    "classify": _cmd_classify,
-    "bifurcation": _cmd_bifurcation,
-    "lyapunov": _cmd_lyapunov,
-    "sensitivity": _cmd_sensitivity,
-    "repro": _cmd_repro,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except (DomainError, ArgumentError, EscapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -185,7 +185,10 @@ def _lyapunov_terms(
                 block = n - terms  # the replay added every remaining term
                 break
         terms += block
-    return _mean(acc, n, skipped)
+    used = n - skipped
+    if used == 0:
+        return -math.inf, 0, skipped
+    return acc / used, used, skipped
 
 
 def _replay_cycle(
@@ -205,13 +208,6 @@ def _replay_cycle(
     cycles, part = divmod(rest, period)
     adds = cycles * len(logs) + sum(size >= SINGULARITY_FLOOR for size in sizes[:part])
     return reduce(operator.add, islice(cycle(logs), adds), acc), rest - adds
-
-
-def _mean(acc: float, n: int, skipped: int) -> tuple[float, int, int]:
-    used = n - skipped
-    if used == 0:
-        return -math.inf, 0, skipped
-    return acc / used, used, skipped
 
 
 def _states(

@@ -207,6 +207,14 @@ class TestBifurcationScan:
         assert scan.detected_periods == (None,)
         assert scan.samples[0] == ()
 
+    def test_escaped_points_carry_no_period(self):
+        # the middle orbit underflows to 0 after 17 of its 40 kept samples,
+        # which would all pass as period 1 within the absolute tolerance
+        scan = bifurcation_scan(0.0005, 0.0012, 3, k0=1e-300, n_total=60, n_keep=40)
+        assert scan.escaped == (True, True, False)
+        assert [len(states) for states in scan.samples] == [0, 17, 40]
+        assert scan.detected_periods == (None, None, 1)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -225,6 +233,11 @@ class TestBifurcationScan:
     def test_rejects_bad_keep(self):
         with pytest.raises(ArgumentError):
             bifurcation_scan(1.0, 1.5, 3, n_total=100, n_keep=100)
+
+    @pytest.mark.parametrize("k0", [0.0, 1.0, math.nan])
+    def test_rejects_an_initial_density_outside_the_domain(self, k0):
+        with pytest.raises(DomainError, match=r"^scan initial density must lie in \(0, 1\.0\)"):
+            bifurcation_scan(1.0, 1.5, 3, k0=k0)
 
 
 class TestLyapunovExponent:

@@ -227,6 +227,32 @@ class TestSensitivityCommand:
         assert "no divergence" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, echoed",
+    [
+        (
+            ["bifurcation", "--v0-min", "2.2", "--v0-max", "2.3", "--steps", "3",
+             "--n", "50", "--keep", "10", "--tolerance", "1e-3"],
+            {"n_total": 50, "n_keep": 10, "tolerance": 1e-3},
+        ),
+        (
+            ["lyapunov", "--v0-min", "1.2", "--v0-max", "1.4", "--steps", "3",
+             "--n", "1000", "--transient", "7"],
+            {"n": 1000, "n_transient": 7},
+        ),
+        (
+            ["sensitivity", "--v0", "2.585", "--n", "40", "--tolerance", "0.02"],
+            {"n": 40, "threshold": 0.02},
+        ),
+    ],
+)
+def test_flags_reach_the_library_under_its_parameter_names(argv, echoed, tmp_path):
+    # --n, --keep, --transient and --tolerance store under the library's names
+    assert run_cli(*argv, "--format", "json", "--out", str(tmp_path)) == 0
+    settings = json.loads((tmp_path / f"{argv[0]}.json").read_text())["settings"]
+    assert {name: settings[name] for name in echoed} == echoed
+
+
 @pytest.fixture(scope="class")
 def repro_out(tmp_path_factory):
     """One `repro --out out` run from a fresh directory, as the sha256 table was made."""

@@ -1,8 +1,9 @@
 """Bit-identity of the map loops of ``dynamics`` against a plain reference loop.
 
-``iterate`` and ``_attractor_tail`` run on ``_trajectory``, which takes a
-single ln(kj / k) per step until the float orbit repeats a density exactly
-and then repeats the cycle's densities and ratios instead of stepping.
+``iterate`` and the attractor tails of ``bifurcation_scan`` run on
+``_trajectory``, which takes a single ln(kj / k) per step until the float
+orbit repeats a density exactly and then repeats the cycle's densities and
+ratios instead of stepping.
 ``_lyapunov_terms`` steps in its own transient and averaging loops and
 hands the rest of a cycle's sum to ``_replay_cycle``, which reads one lap
 from ``_trajectory``. The reference below is the straightforward loop over
@@ -21,14 +22,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from greenberg_dynamics import dynamics
-from greenberg_dynamics.analysis import _attractor_tail, bifurcation_scan, lyapunov_curve
-from greenberg_dynamics.dynamics import (
-    SINGULARITY_FLOOR,
-    _lyapunov_terms,
-    _states,
-    _trajectory,
-    iterate,
-)
+from greenberg_dynamics.analysis import bifurcation_scan, detect_period, lyapunov_curve
+from greenberg_dynamics.dynamics import SINGULARITY_FLOOR, _lyapunov_terms, _trajectory, iterate
 from greenberg_dynamics.errors import EscapeError, EscapeWarning
 from greenberg_dynamics.model import TrafficParams
 
@@ -167,24 +162,32 @@ def test_iterate_matches_reference(v0, kj, fraction, n):
         assert f"at iterate {escape_index} (density {escaped_k})" in str(warning.message)
 
 
-@given(v0s, kjs, fractions, st.integers(2, 400), st.integers(1, 399))
-@example(0.5, 1.0, STEP_ONE_FIXED_K0, 300, 60)  # a fixed point reached at step 1
-@example(2.25, 1.0, 0.35, 66, 60)  # a cycle that closes exactly at step n_total
-@example(2.25, 1.0, 0.35, 300, 60)  # the 2-cycle
-@example(2.48, 1.0, 0.23, 300, 60)  # a 16-point float cycle of the 8-cycle
-@example(2.585, 1.0, 0.1, 300, 60)  # chaotic: never repeats
-def test_attractor_tail_matches_reference(v0, kj, fraction, n_total, n_keep):
-    p, k0 = params_and_k0(v0, kj, fraction)
-    assume(n_keep < n_total)
+# The scan runs at kj = 1 and on v0 <= e only; tails with other kj take the
+# same _trajectory as iterate and are covered above.
+@given(v0s, fractions, st.integers(2, 400), st.integers(1, 399))
+@example(0.5, STEP_ONE_FIXED_K0, 300, 60)  # a fixed point reached at step 1
+@example(2.25, 0.35, 66, 60)  # a cycle that closes exactly at step n_total
+@example(2.25, 0.35, 300, 60)  # the 2-cycle
+@example(2.48, 0.23, 300, 60)  # a 16-point float cycle of the 8-cycle
+@example(2.585, 0.1, 300, 60)  # chaotic: never repeats
+@example(0.00085, 1e-300, 60, 40)  # underflows to 0 after 17 of the 40 kept samples
+def test_attractor_tail_matches_reference(v0, fraction, n_total, n_keep):
+    p, k0 = params_and_k0(v0, 1.0, fraction)
+    assume(v0 <= math.e and n_keep < n_total)
     ks, escape_index, _ = ref_orbit(k0, p, n_total)
     expected = ks[n_total - n_keep + 1:]
-    tail, ratios, escaped = _attractor_tail(p, k0, n_total, n_keep)
-    assert hexes(tail) == hexes(expected)
-    assert escaped == (escape_index is not None)
-    states = _states(tail, ratios, p)
+    scan = bifurcation_scan(v0, v0, 1, k0=k0, n_total=n_total, n_keep=n_keep)
+    [states] = scan.samples
+    assert hexes(s.k for s in states) == hexes(expected)
+    assert scan.escaped == (escape_index is not None,)
     assert hexes(s.q for s in states) == hexes(ref_flow(k, p) for k in expected)
     assert hexes(s.v for s in states) == hexes(ref_velocity(k, p) for k in expected)
     assert len({id(s) for s in states}) == len(set(expected))
+    # an escaped tail carries no period; a one-sample tail has none to find
+    cap = min(64, n_keep // 2)
+    complete = escape_index is None and cap >= 1
+    period = detect_period(expected, 1e-6, cap) if complete else None
+    assert scan.detected_periods == (period,)
 
 
 def test_two_cycle_scan_tail_holds_two_states():
