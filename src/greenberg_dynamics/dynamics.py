@@ -20,8 +20,9 @@ it is periodic from there on, because the step is a pure function of k,
 and it cannot escape, because every point of the cycle was already checked.
 Then ``_trajectory`` repeats the cycle's densities and ratios, the
 transient skips whole cycles, and the averaging loop hands the rest of its
-sum to ``_replay_cycle``, which adds the terms of one lap of
-``_trajectory``. ``_states`` builds one state per distinct density, so a
+sum to ``_replay_cycle``, which takes the terms of one lap of
+``_trajectory`` and adds whole laps by exact strides, bit for bit the
+term-by-term sum. ``_states`` builds one state per distinct density, so a
 stable orbit costs a few logarithms and a few states per cycle point.
 """
 
@@ -33,7 +34,7 @@ import warnings
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import cycle, islice
+from itertools import accumulate, cycle, islice
 
 from .errors import ArgumentError, DomainError, EscapeError, EscapeWarning
 from .model import TrafficParams, TrafficState
@@ -196,18 +197,77 @@ def _replay_cycle(
 ) -> tuple[float, int]:
     """Add the terms of the next rest points of the period-cycle through k to acc.
 
-    Takes the cycle's ratios ln(kj / k) from one lap of _trajectory, computes
-    the period terms once and adds them to acc one at a time, in orbit order,
-    exactly as the averaging loop would; sum() does not add them, because
-    from Python 3.12 it compensates float sums and changes the bits. Returns
-    the new acc and the number of singular terms among the rest.
+    Takes the cycle's ratios ln(kj / k) from one lap of _trajectory and
+    computes the period terms once. _cycle_sum adds them to acc with the bits
+    of adding them one at a time, in orbit order, as the averaging loop
+    would, but adds whole laps by exact strides; sum() does not add them,
+    because from Python 3.12 it compensates float sums and changes the bits.
+    Returns the new acc and the number of singular terms among the rest.
     """
     _, ratios, _ = _trajectory(k, p, period - 1)
     sizes = [abs(p.v0 * (ratio - 1.0)) for ratio in ratios]
     logs = [math.log(size) for size in sizes if size >= SINGULARITY_FLOOR]
     cycles, part = divmod(rest, period)
     adds = cycles * len(logs) + sum(size >= SINGULARITY_FLOOR for size in sizes[:part])
-    return reduce(operator.add, islice(cycle(logs), adds), acc), rest - adds
+    return _cycle_sum(acc, logs, adds), rest - adds
+
+
+def _cycle_sum(acc: float, logs: list[float], adds: int) -> float:
+    """reduce(operator.add, islice(cycle(logs), adds), acc), bit for bit, in strides.
+
+    The terms are finite: every cycle point lies in the domain and has a
+    slope of at least SINGULARITY_FLOOR. Each attempt adds one lap term by
+    term with accumulate, which rounds each add as reduce does. Suppose every
+    partial sum of that lap, acc included, lies strictly inside one binade
+    (2**(e-1), 2**e) of one sign, whose floats are the multiples of its ulp
+    u, and no term l is a rounding tie at u (abs(fmod(l, u)) != u / 2).
+    Rounding is monotone and the binade's edges are floats, so for any
+    multiple s of u, if s + l rounds to a float strictly inside the binade,
+    s + l lies there too and rounds to s + round_u(l), l rounded to the
+    nearest multiple of u, whatever s is. So every later lap whose partials
+    stay strictly inside adds the same d = end - acc, exact by Sterbenz's
+    lemma, and its partials are this lap's plus d. The largest k laps that
+    keep the lap's extreme partials plus k * d strictly inside are jumped at
+    once: k * d and end + k * d are multiples of u below 2**e, so both are
+    exact, and so are the room to the edge that d heads for and the floor
+    division that gives k. When the rule fails (a sign change, a binade
+    crossing within the lap, or a tie, which includes a subnormal u whose
+    half rounds to 0), laps are added term by term in batches that double
+    until a lap fits a binade again, so no more terms are added one at a
+    time than reduce adds. The partial last lap is added term by term.
+    """
+    laps, part = divmod(adds, len(logs)) if logs else (0, 0)
+    batch = 1
+    while laps:
+        sums = list(accumulate(logs, operator.add, initial=acc))
+        start, acc = acc, sums[-1]
+        laps -= 1
+        inner, outer = sorted((min(sums), max(sums)), key=abs)
+        (mantissa, exponent), (_, outer_exponent) = math.frexp(inner), math.frexp(outer)
+        ulp = math.ulp(inner)
+        if (
+            abs(mantissa) > 0.5
+            and exponent == outer_exponent
+            and math.isfinite(outer)
+            and (inner > 0.0) == (outer > 0.0)
+            and all(abs(math.fmod(term, ulp)) != ulp / 2 for term in logs)
+        ):
+            drift = acc - start
+            edge = math.ldexp(0.5, exponent)
+            if (drift > 0.0) == (outer > 0.0):
+                room = edge - (abs(outer) - edge)
+            else:
+                room = abs(inner) - edge
+            jump = min(laps, int((room - ulp) // abs(drift))) if drift else laps
+            acc += jump * drift
+            laps -= jump
+            batch = 1
+        else:
+            batch_laps = min(batch, laps)
+            acc = reduce(operator.add, islice(cycle(logs), batch_laps * len(logs)), acc)
+            laps -= batch_laps
+            batch *= 2
+    return reduce(operator.add, logs[:part], acc)
 
 
 def _states(

@@ -6,19 +6,23 @@ orbit repeats a density exactly and then repeats the cycle's densities and
 ratios instead of stepping.
 ``_lyapunov_terms`` steps in its own transient and averaging loops and
 hands the rest of a cycle's sum to ``_replay_cycle``, which reads one lap
-from ``_trajectory``. The reference below is the straightforward loop over
+from ``_trajectory`` and adds whole laps of its terms by exact strides
+(``_cycle_sum``). The reference below is the straightforward loop over
 the model formulas (flow, velocity and slope each computing their own
 logarithm, no replay); every float must agree bit for bit, which
 ``float.hex`` makes explicit, and every escape must be reported at the same
-step.
+step. The strides are held to the term-by-term sum the same way.
 """
 
 import math
+import operator
 import random
 import warnings
+from functools import reduce
+from itertools import accumulate, cycle, islice
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from greenberg_dynamics import dynamics
@@ -301,6 +305,60 @@ def test_mixed_cycle_skips_its_singular_term_on_every_lap():
     assert 4_000 < expected[2] < 6_000  # about half the terms are singular
     estimate, used, skipped = _lyapunov_terms(p, 0.25, 10_000, 1_000)
     assert (estimate.hex(), used, skipped) == (expected[0].hex(), *expected[1:])
+
+
+def term_by_term(acc, logs, adds):
+    return reduce(operator.add, islice(cycle(logs), adds), acc)
+
+
+# Dyadic terms are multiples of a power of two, so some are rounding ties at
+# the ulp of the sum they are added to.
+dyadics = st.builds(math.ldexp, st.integers(-(2**12), 2**12), st.integers(-60, 0))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.one_of(st.floats(-1e4, 1e4), dyadics, finite),
+    st.lists(st.one_of(st.floats(-10.0, 10.0), dyadics, finite), min_size=1, max_size=6),
+    st.integers(0, 3000),
+)
+@example(1 + 2**-52, [3 * 2**-53], 1000)  # a tie: each add rounds to even
+@example(-0.5, [-0.001], 10_000)  # binade crossings
+@example(0.3, [-0.2, 0.1, -0.05], 9_999)  # a sign change
+@example(3.0, [0.5, -0.5], 10_000)  # zero drift
+@example(-12.25, [math.log(0.5)], 10_000)  # the sink's replay
+@example(0.0, [0.4, -1.3, 0.2], 10**7)  # ten million terms from 0
+@settings(deadline=None)  # the reference adds 10**7 terms one at a time
+def test_cycle_sum_matches_term_by_term_sum(acc, logs, adds):
+    assert dynamics._cycle_sum(acc, logs, adds).hex() == term_by_term(acc, logs, adds).hex()
+
+
+def count_terms_added_one_at_a_time(monkeypatch):
+    """Wrap the reduce and accumulate of dynamics; the list collects each term count."""
+    counts = []
+
+    def counting_reduce(function, terms, initial):
+        terms = list(terms)
+        counts.append(len(terms))
+        return reduce(function, terms, initial)
+
+    def counting_accumulate(terms, function, initial):
+        counts.append(len(terms))
+        return accumulate(terms, function, initial=initial)
+
+    monkeypatch.setattr(dynamics, "reduce", counting_reduce)
+    monkeypatch.setattr(dynamics, "accumulate", counting_accumulate)
+    return counts
+
+
+@pytest.mark.parametrize("n", [10_000, 10**6])
+def test_sink_replay_adds_few_terms_one_at_a_time(monkeypatch, n):
+    # term by term, the replay would add about n terms; the strides add 36 and 57
+    counts = count_terms_added_one_at_a_time(monkeypatch)
+    estimate, used, skipped = _lyapunov_terms(TrafficParams(v0=0.5), 0.25, n, 1_000)
+    assert (used, skipped) == (n, 0)
+    assert 0 < sum(counts) < 100
+    assert estimate == pytest.approx(math.log(0.5), abs=1e-9)
 
 
 def test_sink_replays_instead_of_stepping(monkeypatch):
