@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dynamics import _lyapunov_terms, _states, _trajectory
+from .dynamics import _lyapunov_terms, _trajectory
 from .errors import ArgumentError, DomainError, EscapeError
-from .model import TrafficParams, TrafficState
+from .model import TrafficParams, TrafficState, _states
 
 SINK = "hyperbolic-sink"
 SOURCE = "hyperbolic-source"
@@ -181,7 +181,7 @@ def exponential_stability_check(p: TrafficParams, k0: float) -> StabilityCertifi
     step 1 (k0 = kj does), when beta rounds to 1 (k0 or k1 within about
     1e-16 * k* of 0), or when exp(-1/v0) underflows (v0 below about 1/745).
     """
-    densities, _, escaped = _trajectory(k0, p, 1)
+    densities, escaped = _trajectory(k0, p, 1)
     if p.v0 == 0.0:
         return StabilityCertificate(stable=True, m=1.0, beta=0.0)
     if p.v0 >= 1.0 or escaped is not None:
@@ -272,10 +272,10 @@ def bifurcation_scan(
 
     def scan_point(v0: float) -> tuple[tuple[TrafficState, ...], int | None, bool]:
         p = TrafficParams(v0=v0)
-        densities, ratios, escaped = _trajectory(k0, p, n_total)
+        densities, escaped = _trajectory(k0, p, n_total)
         tail = densities[first:]
         period = detect_period(tail, tolerance, cap) if escaped is None and cap >= 1 else None
-        return _states(tail, ratios[first:], p), period, escaped is not None
+        return _states(tail, p), period, escaped is not None
 
     samples, periods, escaped = zip(*map(scan_point, grid))
     return BifurcationScan(
@@ -308,8 +308,11 @@ def lyapunov_exponent(
 ) -> float:
     """Orbit-averaged ln|f'|: negative on sinks and cycles, positive on chaos.
 
-    At a superstable parameter the whole orbit sits where f' = 0 and the
-    exponent diverges; -inf is returned in that case.
+    Terms with |f'| below dynamics.SINGULARITY_FLOOR are skipped; -inf is
+    returned only when every term is (v0 = 1 from k0 = kj/e). A float cycle
+    through kj/e averages its other terms: at v0 = 2.2184574899167 from
+    k0 = 0.25 that gives about +0.57, not -inf (a strict xfail in
+    tests/test_kernel.py).
     """
     _check_lyapunov_lengths(n, n_transient)
     estimate, _, _ = _lyapunov_terms(p, k0, n, n_transient)

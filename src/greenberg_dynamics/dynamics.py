@@ -5,10 +5,9 @@ k(i+1) = v0 * k(i) * ln(kj / k(i)). Orbits are immutable once built. Every
 map step of the package is taken here, by one of three loops:
 
 - ``_trajectory`` takes one logarithm ln(kj / k) per step and returns every
-  density and ratio. Orbits, sensitivity runs, the bifurcation scan's
-  attractor tails and the Lyapunov cycle replay derive the flow
-  v0 * k * ln(kj / k), the velocity v0 * ln(kj / k) and the slope
-  v0 * (ln(kj / k) - 1) from them.
+  density. Orbits, sensitivity runs and the bifurcation scan's attractor
+  tails take their states from ``model._states``, and the Lyapunov cycle
+  replay takes the slope v0 * (ln(kj / k) - 1) of each density of one lap.
 - The transient loop of ``_lyapunov_terms`` only steps.
 - Its averaging loop keeps no point: it takes ln(kj / k) once for both the
   term ln|f'| and the step, because the Lyapunov sweep reads each of its
@@ -18,12 +17,12 @@ Each loop compares each density with one saved on the schedule of
 ``_cycle_block``. Once the float orbit returns to a saved density exactly,
 it is periodic from there on, because the step is a pure function of k,
 and it cannot escape, because every point of the cycle was already checked.
-Then ``_trajectory`` repeats the cycle's densities and ratios, the
-transient skips whole cycles, and the averaging loop hands the rest of its
-sum to ``_replay_cycle``, which takes the terms of one lap of
-``_trajectory`` and adds whole laps by exact strides, bit for bit the
-term-by-term sum. ``_states`` builds one state per distinct density, so a
-stable orbit costs a few logarithms and a few states per cycle point.
+Then ``_trajectory`` repeats the cycle's densities, the transient skips
+whole cycles, and the averaging loop hands the rest of its sum to
+``_replay_cycle``, which takes the terms of one lap of ``_trajectory`` and
+adds whole laps by exact strides, bit for bit the term-by-term sum.
+``model._states`` builds one state per distinct density, so a stable orbit
+costs a few logarithms and a few states per cycle point.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import reduce
 from itertools import accumulate, cycle, islice
 
 from .errors import ArgumentError, DomainError, EscapeError, EscapeWarning
-from .model import TrafficParams, TrafficState
+from .model import TrafficParams, TrafficState, _states
 
 DEFAULT_ITERATIONS = 300
 DEFAULT_SENSITIVITY_DELTA = 1e-3
@@ -89,42 +88,34 @@ def _cycle_block(index: int) -> int:
     return min(max(index, 1), _CYCLE_BLOCK)
 
 
-def _trajectory(
-    k: float, p: TrafficParams, n: int
-) -> tuple[list[float], list[float], float | None]:
+def _trajectory(k: float, p: TrafficParams, n: int) -> tuple[list[float], float | None]:
     """Up to n map steps from density k in (0, kj], the domain checked once here.
 
-    Returns the in-domain densities k_0, k_1, ..., the ratio ln(kj / k_i) of
-    each (the same length), and the first successor that left (0, kj], or
-    None when all n steps stayed inside. On escape the densities stop just
-    before the escaped iterate, whose index is their length. Once a density
-    equals the last saved one, the rest of both lists repeats the cycle
-    between them instead of stepping; every float is the one stepping would
-    give.
+    Returns the in-domain densities k_0, k_1, ... and the first successor
+    that left (0, kj], or None when all n steps stayed inside. On escape the
+    densities stop just before the escaped iterate, whose index is their
+    length. Once a density equals the last saved one, the rest of the list
+    repeats the cycle between them instead of stepping; every float is the
+    one stepping would give.
     """
     if not (0.0 < k <= p.kj):
         raise DomainError(f"density must lie in (0, {p.kj}], got {k}")
     v0, kj, log = p.v0, p.kj, math.log
     densities = [k]
-    ratios: list[float] = []
     start = 0
     while start < n:
         saved = k
         stop = min(start + _cycle_block(start), n)
         for index in range(start + 1, stop + 1):
-            ratio = log(kj / k)
-            ratios.append(ratio)
-            k = v0 * k * ratio
+            k = v0 * k * log(kj / k)
             if not (0.0 < k <= kj):
-                return densities, ratios, k
+                return densities, k
             densities.append(k)
             if k == saved:
                 densities += islice(cycle(densities[start + 1:]), n - index)
-                ratios += islice(cycle(ratios[start:]), n + 1 - index)
-                return densities, ratios, None
+                return densities, None
         start = stop
-    ratios.append(log(kj / k))
-    return densities, ratios, None
+    return densities, None
 
 
 def _lyapunov_terms(
@@ -197,15 +188,15 @@ def _replay_cycle(
 ) -> tuple[float, int]:
     """Add the terms of the next rest points of the period-cycle through k to acc.
 
-    Takes the cycle's ratios ln(kj / k) from one lap of _trajectory and
+    Takes the slopes of the densities of one lap of _trajectory and
     computes the period terms once. _cycle_sum adds them to acc with the bits
     of adding them one at a time, in orbit order, as the averaging loop
     would, but adds whole laps by exact strides; sum() does not add them,
     because from Python 3.12 it compensates float sums and changes the bits.
     Returns the new acc and the number of singular terms among the rest.
     """
-    _, ratios, _ = _trajectory(k, p, period - 1)
-    sizes = [abs(p.v0 * (ratio - 1.0)) for ratio in ratios]
+    lap, _ = _trajectory(k, p, period - 1)
+    sizes = [abs(p.v0 * (math.log(p.kj / point) - 1.0)) for point in lap]
     logs = [math.log(size) for size in sizes if size >= SINGULARITY_FLOOR]
     cycles, part = divmod(rest, period)
     adds = cycles * len(logs) + sum(size >= SINGULARITY_FLOOR for size in sizes[:part])
@@ -270,22 +261,6 @@ def _cycle_sum(acc: float, logs: list[float], adds: int) -> float:
     return reduce(operator.add, logs[:part], acc)
 
 
-def _states(
-    densities: list[float], ratios: list[float], p: TrafficParams
-) -> tuple[TrafficState, ...]:
-    """Diagram states from densities and their ratios ln(kj / k).
-
-    The ratio, flow and velocity are pure functions of k for one p, so each
-    distinct density gets one state, repeated wherever the density recurs.
-    """
-    v0 = p.v0
-    built = {
-        k: TrafficState(k=k, q=v0 * k * ratio, v=v0 * ratio)
-        for k, ratio in dict(zip(densities, ratios)).items()
-    }
-    return tuple(map(built.__getitem__, densities))
-
-
 def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
     """Generate the orbit of length n+1 from k0, truncating on escape.
 
@@ -296,7 +271,7 @@ def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
         raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
     if n < 1:
         raise ArgumentError(f"need at least one iteration, got {n}")
-    densities, ratios, escaped_k = _trajectory(k0, p, n)
+    densities, escaped_k = _trajectory(k0, p, n)
     escaped: int | None = None
     if escaped_k is not None:
         escaped = len(densities)
@@ -305,8 +280,7 @@ def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
             EscapeWarning,
             stacklevel=2,
         )
-    states = _states(densities, ratios, p)
-    return Orbit(params=p, k0=k0, n=n, states=states, escaped=escaped)
+    return Orbit(params=p, k0=k0, n=n, states=_states(densities, p), escaped=escaped)
 
 
 def map_derivative(k: float, p: TrafficParams) -> float:

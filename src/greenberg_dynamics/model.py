@@ -3,12 +3,15 @@
 Continuous relations between density k, flow q and velocity v for the
 logarithmic velocity-density law v = v0 * ln(kj / k), with the jam density
 kj normalized to 1 by default. All functions here are pure and stateless.
+Orbits, scan tails and diagram profiles all take their states from
+``_states`` here, which equals state_of_density bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ArgumentError, DomainError
 
@@ -65,6 +68,24 @@ def state_of_density(k: float, p: TrafficParams) -> TrafficState:
     return TrafficState(k=k, q=flow_of_density(k, p), v=velocity_of_density(k, p))
 
 
+def _states(densities: Sequence[float], p: TrafficParams) -> tuple[TrafficState, ...]:
+    """state_of_density of each density in (0, kj], bit for bit, unchecked.
+
+    A state is a pure function of k for one p, so each distinct density takes
+    one logarithm ln(kj / k) and gets one state, repeated wherever the density
+    recurs. The flow at kj is 0.0, as flow_of_density defines it, even where
+    v0 * kj overflows.
+    """
+    v0, kj = p.v0, p.kj
+    distinct = dict.fromkeys(densities)
+    # Positional fields: a keyword call costs about a quarter more per state.
+    built = {
+        k: TrafficState(k, v0 * k * ratio if k != kj else 0.0, v0 * ratio)
+        for k, ratio in zip(distinct, map(math.log, map(kj.__truediv__, distinct)))
+    }
+    return tuple(map(built.__getitem__, densities))
+
+
 def optimum_point(p: TrafficParams) -> TrafficState:
     """The maximum-flow state: density kj/e, flow v0*kj/e, velocity v0."""
     k_opt = p.kj / math.e
@@ -91,4 +112,4 @@ def diagram_samples(p: TrafficParams, n: int) -> list[TrafficState]:
         step = (p.kj - split) / (n_uni - 1)
         densities.extend(split + j * step for j in range(n_uni))
         densities[-1] = p.kj
-    return [state_of_density(k, p) for k in densities]
+    return list(_states(densities, p))

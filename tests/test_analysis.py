@@ -193,6 +193,20 @@ class TestBifurcationScan:
                 k = flow_of_density(k, p)
             assert abs(k - s.k) < 10 * scan.settings.tolerance
 
+    def test_cycle_closing_inside_the_window_is_labelled_by_the_window(self):
+        # The float orbit repeats a density exactly at step 299, inside the kept
+        # window (steps 241 to 300), but its start has not settled within the
+        # tolerance: the label comes from the window, not from the float cycle.
+        v0, k0 = 2.5356805346025695, 0.1518156773639057
+        assert bifurcation_scan(v0, v0, 1, k0=k0).detected_periods == (None,)
+        p = TrafficParams(v0=v0)
+        ks = [k0]
+        for _ in range(300):
+            ks.append(flow_of_density(ks[-1], p))
+        repeats = [(i, j) for j in range(301) for i in range(j) if ks[i] == ks[j]]
+        assert repeats[0] == (293, 299)
+        assert all(j - i == 6 for i, j in repeats)
+
     def test_grid_is_ascending_with_samples_per_point(self):
         scan = bifurcation_scan(0.5, 1.5, 6, n_total=120, n_keep=20)
         assert list(scan.v0_grid) == sorted(scan.v0_grid)

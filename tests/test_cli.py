@@ -152,6 +152,18 @@ class TestOverflowExits3:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"error: {kind} document holds a non-finite number"
 
+    def test_flow_at_the_jam_density_stays_zero_when_v0_kj_overflows(self, tmp_path):
+        # k0 = kj/e steps to kj exactly; v0 * kj overflows there, but the flow is 0
+        code = run_cli(
+            "orbit", "--v0", "2.718281828459045", "--kj", "1e308",
+            "--k0", "3.6787944117144236e307", "--n", "5", "--out", str(tmp_path),
+        )
+        assert code == 0
+        rows = (tmp_path / "orbit.csv").read_text().splitlines()
+        assert rows[2] == "1,1e+308,0,0,1"
+        data = json.loads((tmp_path / "orbit.json").read_text())["data"]
+        assert (data["q"], data["escaped"]) == ([1e308, 0.0], 2)
+
     def test_svg_of_an_overflowed_diagram(self, tmp_path, capsys):
         code = run_cli("diagram", "--v0", "1e308", "--format", "svg", "--out", str(tmp_path))
         assert code == 3

@@ -2,16 +2,18 @@
 
 ``iterate`` and the attractor tails of ``bifurcation_scan`` run on
 ``_trajectory``, which takes a single ln(kj / k) per step until the float
-orbit repeats a density exactly and then repeats the cycle's densities and
-ratios instead of stepping.
+orbit repeats a density exactly and then repeats the cycle's densities
+instead of stepping; ``model._states`` builds their states, one ln(kj / k)
+per distinct density.
 ``_lyapunov_terms`` steps in its own transient and averaging loops and
-hands the rest of a cycle's sum to ``_replay_cycle``, which reads one lap
-from ``_trajectory`` and adds whole laps of its terms by exact strides
-(``_cycle_sum``). The reference below is the straightforward loop over
-the model formulas (flow, velocity and slope each computing their own
-logarithm, no replay); every float must agree bit for bit, which
-``float.hex`` makes explicit, and every escape must be reported at the same
-step. The strides are held to the term-by-term sum the same way.
+hands the rest of a cycle's sum to ``_replay_cycle``, which takes the
+slopes of one lap of ``_trajectory``'s densities and adds whole laps of
+their terms by exact strides (``_cycle_sum``). The reference below is the
+straightforward loop over the model formulas (flow, velocity and slope
+each computing their own logarithm, no replay); every float must agree bit
+for bit, which ``float.hex`` makes explicit, and every escape must be
+reported at the same step. The strides are held to the term-by-term sum
+the same way.
 """
 
 import math
@@ -120,23 +122,23 @@ STEP_ONE_FIXED_K0 = 0.666059855098374
 # cycle from there. The 2-cycle from 0.35 first repeats at step 37 and is
 # found at step 66, against the save at 64; the 16-point float cycle of the
 # 8-cycle at v0 = 2.48 first repeats at step 147 and is found at step 272,
-# against the save at 256. Chaos takes all n + 1 logarithms.
+# against the save at 256. Chaos takes one logarithm per step, n in all.
 TRAJECTORY_PINS = [
     (0.5, STEP_ONE_FIXED_K0, 300, 2),
     (2.25, 0.35, 66, 66),  # the cycle closes exactly at step n
     (2.25, 0.35, 300, 66),
     (2.48, 0.23, 300, 272),
-    (2.585, 0.1, 300, 301),
+    (2.585, 0.1, 300, 300),
 ]
 
 
 @pytest.mark.parametrize("v0, k0, n, logs", TRAJECTORY_PINS)
 def test_trajectory_steps_until_a_cycle_closes(monkeypatch, v0, k0, n, logs):
     calls = count_logs(monkeypatch)
-    densities, ratios, escaped = _trajectory(k0, TrafficParams(v0=v0), n)
+    densities, escaped = _trajectory(k0, TrafficParams(v0=v0), n)
     monkeypatch.undo()
     assert len(calls) == logs
-    assert len(densities) == len(ratios) == n + 1 and escaped is None
+    assert len(densities) == n + 1 and escaped is None
 
 
 @given(v0s, kjs, fractions, st.integers(1, 300))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from greenberg_dynamics.errors import ArgumentError, DomainError
 from greenberg_dynamics.model import (
     TrafficParams,
+    _states,
     diagram_samples,
     flow_of_density,
     optimum_point,
@@ -175,6 +176,20 @@ class TestDiagramSamples:
         with pytest.raises(ArgumentError):
             diagram_samples(TrafficParams(v0=1.0), n)
 
+    # v0 = 1e308 overflows the flow to inf below kj, and v0 * kj at kj
+    @pytest.mark.parametrize(
+        "v0, kj, n", [(0.0, 1.0, 2), (1.0, 1.0, 400), (2.7, 0.3, 57), (1e308, 7.0, 5)]
+    )
+    def test_every_sample_is_its_state_of_density_bit_for_bit(self, v0, kj, n):
+        p = TrafficParams(v0=v0, kj=kj)
+        samples = diagram_samples(p, n)
+        assert len(samples) == n
+        for s in samples:
+            expected = state_of_density(s.k, p)
+            assert [x.hex() for x in (s.k, s.q, s.v)] == [
+                x.hex() for x in (expected.k, expected.q, expected.v)
+            ]
+
 
 class TestStateOfDensity:
     def test_components_come_from_the_model_functions(self):
@@ -182,3 +197,20 @@ class TestStateOfDensity:
         s = state_of_density(0.42, p)
         assert s.q == flow_of_density(0.42, p)
         assert s.v == velocity_of_density(0.42, p)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1e308),
+    st.sampled_from((1.0, 0.3, 7.0, 1e308)),
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), max_size=12),
+)
+def test_batch_states_are_state_of_density_bit_for_bit(v0, kj, fractions):
+    p = TrafficParams(v0=v0, kj=kj)
+    densities = [f * kj for f in fractions if f * kj > 0.0] + [kj]
+    densities += densities[::2]  # recurring densities share one state
+    states = _states(densities, p)
+    expected = [state_of_density(k, p) for k in densities]
+    assert [(s.k.hex(), s.q.hex(), s.v.hex()) for s in states] == [
+        (e.k.hex(), e.q.hex(), e.v.hex()) for e in expected
+    ]
+    assert len({id(s) for s in states}) == len(set(densities))
