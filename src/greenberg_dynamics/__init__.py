@@ -31,7 +31,6 @@ from .errors import (
     ArgumentError,
     DomainError,
     EscapeError,
-    EscapeWarning,
     SpecError,
 )
 from .emit import DiagramPayload, PlotSpec, render_svg, write_csv, write_json
@@ -53,7 +52,6 @@ __all__ = [
     "DiagramPayload",
     "DomainError",
     "EscapeError",
-    "EscapeWarning",
     "FixedPointReport",
     "LyapunovCurve",
     "Orbit",

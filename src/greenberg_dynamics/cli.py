@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +23,7 @@ from .dynamics import (
     iterate,
     sensitivity_experiment,
 )
-from .errors import ArgumentError, DomainError, EscapeError, EscapeWarning
+from .errors import ArgumentError, DomainError, EscapeError
 from .model import TrafficParams, diagram_samples
 
 PROG = "greenberg-dyn"
@@ -179,35 +178,31 @@ def _write(args: argparse.Namespace, payload, stem: str, svgs=()) -> list[str]:
 
     Files are named ``<prefix><stem>.csv``, ``.json`` and, for each
     (suffix, PlotSpec) in ``svgs``, ``<prefix><stem><suffix>.svg``.
-    Returns the paths written, in order.
+    Returns the paths written, in order, and prints them once all are
+    written. If a writer raises, the files already written are removed.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats = args.formats if args.fmt == "all" else (args.fmt,)
     base = f"{args.prefix}{stem}"
-    written = []
-
-    def wrote(path: Path) -> None:
+    written: list[Path] = []
+    try:
+        for fmt, writer in (("csv", emit.write_csv), ("json", emit.write_json)):
+            if fmt in formats:
+                writer(payload, out / f"{base}.{fmt}")
+                written.append(out / f"{base}.{fmt}")
+        if "svg" in formats:
+            for suffix, spec in svgs:
+                path = out / f"{base}{suffix}.svg"
+                path.write_text(emit.render_svg(spec, payload), encoding="utf-8")
+                written.append(path)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    for path in written:
         print(f"wrote {path}")
-        written.append(str(path))
-
-    for fmt, writer in (("csv", emit.write_csv), ("json", emit.write_json)):
-        if fmt in formats:
-            writer(payload, out / f"{base}.{fmt}")
-            wrote(out / f"{base}.{fmt}")
-    if "svg" in formats:
-        for suffix, spec in svgs:
-            path = out / f"{base}{suffix}.svg"
-            path.write_text(emit.render_svg(spec, payload), encoding="utf-8")
-            wrote(path)
-    return written
-
-
-def _quiet(fn, *args, **kwargs):
-    # The CLI reports escapes itself; silence the library warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EscapeWarning)
-        return fn(*args, **kwargs)
+    return [str(path) for path in written]
 
 
 def _warn_escape(orbit: Orbit) -> None:
@@ -238,7 +233,7 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[list[str], dict]:
 
 def _orbit(args: argparse.Namespace) -> tuple[Orbit, dict]:
     settings = _settings(args, "v0", "kj", "k0", "n")
-    orbit = _quiet(iterate, args.k0, TrafficParams(v0=args.v0, kj=args.kj), args.n)
+    orbit = iterate(args.k0, TrafficParams(v0=args.v0, kj=args.kj), args.n)
     _warn_escape(orbit)
     return orbit, settings
 
@@ -305,9 +300,7 @@ def _cmd_lyapunov(args: argparse.Namespace) -> tuple[list[str], dict]:
 def _cmd_sensitivity(args: argparse.Namespace) -> tuple[list[str], dict]:
     settings = _settings(args, "v0", "kj", "k0", "delta", "n", "threshold")
     p = TrafficParams(v0=args.v0, kj=args.kj)
-    result = _quiet(
-        sensitivity_experiment, args.k0, args.delta, p, n=args.n, threshold=args.threshold
-    )
+    result = sensitivity_experiment(args.k0, args.delta, p, n=args.n, threshold=args.threshold)
     for orbit in (result.orbit_a, result.orbit_b):
         _warn_escape(orbit)
     if result.first_divergence_index is None:

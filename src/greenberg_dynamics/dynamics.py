@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, cycle, islice
 
-from .errors import ArgumentError, DomainError, EscapeError, EscapeWarning
+from .errors import ArgumentError, DomainError, EscapeError
 from .model import TrafficParams, TrafficState, _states
 
 DEFAULT_ITERATIONS = 300
@@ -265,21 +264,14 @@ def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
     """Generate the orbit of length n+1 from k0, truncating on escape.
 
     Deterministic: identical inputs produce bit-identical orbits. An escape
-    is recorded on the orbit and reported as an EscapeWarning, not an error.
+    is data, recorded in ``Orbit.escaped``; it raises and warns nothing.
     """
     if not (0.0 < k0 < p.kj):
         raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
     if n < 1:
         raise ArgumentError(f"need at least one iteration, got {n}")
     densities, escaped_k = _trajectory(k0, p, n)
-    escaped: int | None = None
-    if escaped_k is not None:
-        escaped = len(densities)
-        warnings.warn(
-            f"orbit left (0, {p.kj}] at iterate {escaped} (density {escaped_k})",
-            EscapeWarning,
-            stacklevel=2,
-        )
+    escaped = len(densities) if escaped_k is not None else None
     return Orbit(params=p, k0=k0, n=n, states=_states(densities, p), escaped=escaped)
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class DomainError(ValueError):
@@ -15,7 +15,3 @@ class EscapeError(RuntimeError):
 
 class SpecError(ValueError):
     """A payload has no emitter schema, or a plot spec names an unknown ordinate."""
-
-
-class EscapeWarning(UserWarning):
-    """An iterate left the valid density interval; the orbit was truncated."""

@@ -10,6 +10,7 @@ Orbits, scan tails and diagram profiles all take their states from
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,12 +97,15 @@ def diagram_samples(p: TrafficParams, n: int) -> list[TrafficState]:
     """n diagram states at strictly increasing densities spanning (0, kj].
 
     The first third of the points is geometrically spaced on
-    [1e-4 * kj, 0.1 * kj), the rest uniformly on [0.1 * kj, kj].
+    [1e-4 * kj, 0.1 * kj), the rest uniformly on [0.1 * kj, kj]. A kj so
+    small that the grid's floats collapse raises DomainError.
     """
     if n < 2:
         raise ArgumentError(f"need at least 2 samples, got {n}")
     k_min = _GRID_MIN_FRACTION * p.kj
     split = _GRID_SPLIT_FRACTION * p.kj
+    if k_min == 0.0:
+        raise DomainError(f"kj={p.kj} is too small for a diagram grid")
     n_geo = max(1, n // 3)
     n_uni = n - n_geo
     ratio = split / k_min
@@ -112,4 +116,6 @@ def diagram_samples(p: TrafficParams, n: int) -> list[TrafficState]:
         step = (p.kj - split) / (n_uni - 1)
         densities.extend(split + j * step for j in range(n_uni))
         densities[-1] = p.kj
+    if not all(map(operator.lt, densities, densities[1:])):
+        raise DomainError(f"kj={p.kj} is too small for {n} increasing diagram densities")
     return list(_states(densities, p))

@@ -136,6 +136,12 @@ class TestDiagramCommand:
         for name in ("diagram.csv", "diagram.json", "diagram.svg"):
             assert (tmp_path / name).exists()
 
+    def test_tiny_jam_density_exits_3(self, tmp_path, capsys):
+        code = run_cli("diagram", "--v0", "1", "--kj", "1e-320", "--out", str(tmp_path))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOverflowExits3:
     """A flow or velocity that overflows to inf is a domain error, not a traceback."""
@@ -149,8 +155,11 @@ class TestOverflowExits3:
     )
     def test_json_of_an_overflowed_run(self, argv, kind, tmp_path, capsys):
         assert run_cli(*argv, "--out", str(tmp_path)) == 3
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last == f"error: {kind} document holds a non-finite number"
+        out, err = capsys.readouterr()
+        assert err.splitlines()[-1] == f"error: {kind} document holds a non-finite number"
+        # the CSV written before the JSON failed is removed and never reported
+        assert "wrote" not in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_flow_at_the_jam_density_stays_zero_when_v0_kj_overflows(self, tmp_path):
         # k0 = kj/e steps to kj exactly; v0 * kj overflows there, but the flow is 0

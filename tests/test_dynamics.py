@@ -1,6 +1,7 @@
 """Tests for orbit generation, the map derivative and sensitivity runs."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from greenberg_dynamics.dynamics import (
     map_derivative,
     sensitivity_experiment,
 )
-from greenberg_dynamics.errors import ArgumentError, DomainError, EscapeWarning
+from greenberg_dynamics.errors import ArgumentError, DomainError
 from greenberg_dynamics.model import (
     TrafficParams,
     flow_of_density,
@@ -63,14 +64,15 @@ class TestIterate:
     def test_escape_through_exact_jam_density(self):
         # at v0 = e the optimum density maps exactly onto kj, which then
         # maps to the absorbing zero
-        with pytest.warns(EscapeWarning):
-            orbit = iterate(INV_E, TrafficParams(v0=math.e), 10)
+        orbit = iterate(INV_E, TrafficParams(v0=math.e), 10)
         assert orbit.escaped == 2
         assert len(orbit.states) == 2
         assert orbit.states[-1].k == 1.0
 
     def test_escape_by_overshoot(self):
-        with pytest.warns(EscapeWarning):
+        # an escape is data on the orbit, never a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             orbit = iterate(INV_E, TrafficParams(v0=2.75), 10)
         assert orbit.escaped == 1
         assert len(orbit.states) == 1
@@ -161,8 +163,7 @@ class TestCobwebPath:
             assert y == pytest.approx(k_star, abs=1e-12)
 
     def test_rejects_single_state_orbit(self):
-        with pytest.warns(EscapeWarning):
-            orbit = iterate(INV_E, TrafficParams(v0=2.75), 10)
+        orbit = iterate(INV_E, TrafficParams(v0=2.75), 10)
         with pytest.raises(ArgumentError):
             cobweb_path(orbit)
 

@@ -23,7 +23,7 @@ from greenberg_dynamics.emit import (
     write_csv,
     write_json,
 )
-from greenberg_dynamics.errors import EscapeWarning, SpecError
+from greenberg_dynamics.errors import SpecError
 from greenberg_dynamics.model import TrafficParams, diagram_samples
 
 INV_E = math.exp(-1.0)
@@ -36,8 +36,7 @@ def orbit():
 
 @pytest.fixture(scope="module")
 def escaped_orbit():
-    with pytest.warns(EscapeWarning):
-        return iterate(INV_E, TrafficParams(v0=math.e), 10)
+    return iterate(INV_E, TrafficParams(v0=math.e), 10)
 
 
 @pytest.fixture(scope="module")

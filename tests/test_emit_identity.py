@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 import math
-import warnings
 from unittest import mock
 
 import pytest
@@ -37,7 +36,7 @@ from greenberg_dynamics.emit import (
     write_csv,
     write_json,
 )
-from greenberg_dynamics.errors import DomainError, EscapeWarning
+from greenberg_dynamics.errors import DomainError
 from greenberg_dynamics.model import TrafficParams, TrafficState, diagram_samples
 
 INV_E = math.exp(-1.0)
@@ -305,9 +304,7 @@ def test_signed_zeros_and_mixed_types_match_reference():
     st.integers(1, 40),
 )
 def test_orbit_csv_and_cobweb_match_reference(v0, k0, n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EscapeWarning)
-        orbit = iterate(k0, TrafficParams(v0=v0), n)
+    orbit = iterate(k0, TrafficParams(v0=v0), n)
     assert csv_text(orbit) == ref_csv(ref_orbit_rows, orbit)
     panel = emit._Panel(56.0, 44, 300.0, 260, (0.0, 1.0), (0.0, 3.0), "k", "v", "c")
     points = [(s.k, s.v) for s in orbit.states]
@@ -317,8 +314,7 @@ def test_orbit_csv_and_cobweb_match_reference(v0, k0, n):
 
 
 def test_escaped_orbit_csv_matches_reference():
-    with pytest.warns(EscapeWarning):
-        orbit = iterate(INV_E, TrafficParams(v0=math.e), 10)
+    orbit = iterate(INV_E, TrafficParams(v0=math.e), 10)
     assert orbit.escaped is not None
     assert csv_text(orbit) == ref_csv(ref_orbit_rows, orbit)
 

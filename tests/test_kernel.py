@@ -19,7 +19,6 @@ the same way.
 import math
 import operator
 import random
-import warnings
 from functools import reduce
 from itertools import accumulate, cycle, islice
 
@@ -30,7 +29,7 @@ from hypothesis import strategies as st
 from greenberg_dynamics import dynamics
 from greenberg_dynamics.analysis import bifurcation_scan, detect_period, lyapunov_curve
 from greenberg_dynamics.dynamics import SINGULARITY_FLOOR, _lyapunov_terms, _trajectory, iterate
-from greenberg_dynamics.errors import EscapeError, EscapeWarning
+from greenberg_dynamics.errors import EscapeError
 from greenberg_dynamics.model import TrafficParams
 
 
@@ -150,22 +149,17 @@ def test_trajectory_steps_until_a_cycle_closes(monkeypatch, v0, k0, n, logs):
 def test_iterate_matches_reference(v0, kj, fraction, n):
     p, k0 = params_and_k0(v0, kj, fraction)
     ks, escape_index, escaped_k = ref_orbit(k0, p, n)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        orbit = iterate(k0, p, n)
+    orbit = iterate(k0, p, n)
     assert hexes(s.k for s in orbit.states) == hexes(ks)
     assert hexes(s.q for s in orbit.states) == hexes(ref_flow(k, p) for k in ks)
     assert hexes(s.v for s in orbit.states) == hexes(ref_velocity(k, p) for k in ks)
     # one state per distinct density, repeated wherever the density recurs
     assert len({id(s) for s in orbit.states}) == len(set(ks))
     assert orbit.escaped == escape_index
-    if escape_index is None:
-        assert not caught
-    else:
-        [warning] = caught
-        assert warning.category is EscapeWarning
-        # repr round-trips, so this pins the escaped density bit for bit
-        assert f"at iterate {escape_index} (density {escaped_k})" in str(warning.message)
+    # the successor that left (0, kj], bit for bit
+    successor = _trajectory(k0, p, n)[1]
+    assert (successor is None) == (escaped_k is None)
+    assert successor is None or successor.hex() == escaped_k.hex()
 
 
 # The scan runs at kj = 1 and on v0 <= e only; tails with other kj take the

@@ -176,6 +176,19 @@ class TestDiagramSamples:
         with pytest.raises(ArgumentError):
             diagram_samples(TrafficParams(v0=1.0), n)
 
+    # 1e-4 * kj underflows to 0 below about 2.47e-320; just above it, the
+    # subnormal grid still repeats densities at 400 points
+    @pytest.mark.parametrize("kj", [1e-320, 5e-324, 2.5e-320, 1e-319])
+    def test_rejects_a_jam_density_too_small_for_the_grid(self, kj):
+        with pytest.raises(DomainError):
+            diagram_samples(TrafficParams(v0=1.0, kj=kj), 400)
+
+    @pytest.mark.parametrize("kj", [1e-318, 1e-300])
+    def test_tiny_jam_density_keeps_a_strictly_increasing_grid(self, kj):
+        ks = [s.k for s in diagram_samples(TrafficParams(v0=1.0, kj=kj), 400)]
+        assert all(b > a for a, b in zip(ks, ks[1:]))
+        assert ks[-1] == kj
+
     # v0 = 1e308 overflows the flow to inf below kj, and v0 * kj at kj
     @pytest.mark.parametrize(
         "v0, kj, n", [(0.0, 1.0, 2), (1.0, 1.0, 400), (2.7, 0.3, 57), (1e308, 7.0, 5)]
