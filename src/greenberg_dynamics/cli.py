@@ -7,6 +7,7 @@ Exit codes: 0 success (escapes only warn), 2 usage, 3 domain/argument error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -73,7 +74,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every subcommand, built on the first call and shared after.
+
+    ``main`` and ``repro`` parse with it, and each parse fills a fresh
+    namespace, so calls in one process stay independent. Callers must not
+    change the parser. Its handlers look up the library functions when they
+    run, so replacing ``iterate`` or another binding here still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog=PROG,
         description=(

@@ -6,14 +6,17 @@ text with no external dependencies, and identical payload + spec pairs
 always produce byte-identical documents.
 
 Every document is built whole in memory and written in one call. Its cost
-is formatting numbers, and the large documents repeat most of theirs: a
-bifurcation point that settles on a cycle repeats the cycle's states, and
-each flow is the next density. So the bulk builders format each distinct
-number once per document and look the text up after that (``_Texts``):
-the scan's CSV fields, the JSON arrays of floats (``_json_text``) and the
-ordinate pixels of the bifurcation dots. What remains is one %-format per
-CSV row and per dot, with the v0 prefix of a scan point formatted once, and
-json's C encoder for every other array of numbers.
+is formatting numbers, and the large documents repeat most of theirs: an
+orbit or a bifurcation point that settles on a cycle repeats the cycle's
+states. ``model._states`` shares one TrafficState among the samples that
+repeat a density, so the orbit and scan CSVs format one "k,q,v" text per
+distinct state, and each bifurcation column one ``<circle>``, and look it
+up for every repeat (``_state_texts``). The JSON arrays of floats format
+each distinct float once per document (``_Texts``). What remains is one
+%-format per CSV row, with the v0 and period fields of a scan point
+formatted once, one per polyline point and per cobweb dot, each point list
+mapped to pixels in one pass (``_Panel.pixels``), and json's C encoder for
+every other array of numbers.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -27,6 +30,7 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -84,24 +88,45 @@ class _Schema:
 
 
 class _Texts(dict):
-    """The text of each number in one document, formatted on its first use.
+    """The JSON text of each finite float in one document, formatted on its first use.
 
-    Equal numbers share a text, so only finite non-zero ones are kept: 0.0
-    and -0.0 are equal but print differently, and a NaN or an infinity, an
-    error in JSON, is formatted afresh on every use rather than remembered.
-    The CSV and SVG formats give equal numbers equal text otherwise; JSON
-    looks up only lists of finite floats, because it tells 1 from 1.0.
+    Equal floats share a text, except 0.0: it equals -0.0 but prints
+    differently, so it is formatted afresh on every use. Only lists of
+    finite floats are looked up, because JSON tells 1 from 1.0 and rejects
+    NaN and infinities.
     """
 
-    def __init__(self, format: Callable[[float], str]):
-        super().__init__()
-        self.format = format
-
-    def __missing__(self, x) -> str:
-        text = self.format(x)
-        if x != 0.0 and math.isfinite(x):
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x)
+        if x:
             self[x] = text
         return text
+
+
+def _state_texts(states: Sequence[TrafficState], texts: Callable) -> list[str]:
+    """The text of each state; ``texts`` maps the distinct states to theirs, in order.
+
+    A state is told apart by its id: ``model._states`` shares one
+    TrafficState among the samples that repeat a density, and ``states``
+    keeps every one alive, so no id is reused. Equal states that are
+    distinct objects get their own texts, so 0.0 and -0.0 stay apart.
+    """
+    ids = list(map(id, states))
+    distinct = dict(zip(ids, states))
+    shared = dict(zip(distinct, texts(distinct.values())))
+    return list(map(shared.__getitem__, ids))
+
+
+_KQV = attrgetter("k", "q", "v")
+
+
+def _kqv_texts(states: Sequence[TrafficState]) -> list[str]:
+    """The "k,q,v" CSV fields of each state."""
+
+    def fields(distinct):
+        return map("%.17g,%.17g,%.17g".__mod__, map(_KQV, distinct))
+
+    return _state_texts(states, fields)
 
 
 def _sink(destination):
@@ -130,12 +155,11 @@ def _grid_settings(sweep) -> dict:
 
 
 def _orbit_rows(orbit: Orbit) -> list[str]:
-    last = len(orbit.states) - 1
-    flag = "1" if orbit.escaped is not None else "0"
-    return [
-        "%d,%.17g,%.17g,%.17g,%s\n" % (i, s.k, s.q, s.v, flag if i == last else "")
-        for i, s in enumerate(orbit.states)
-    ]
+    rows = list(map("%d,%s,\n".__mod__, enumerate(_kqv_texts(orbit.states))))
+    if rows:
+        # Only the last row carries the escape flag.
+        rows[-1] = rows[-1][:-1] + ("1" if orbit.escaped is not None else "0") + "\n"
+    return rows
 
 
 def _orbit_settings(orbit: Orbit) -> dict:
@@ -159,16 +183,11 @@ def _diagram_data(payload: DiagramPayload) -> dict:
 
 
 def _scan_rows(scan: BifurcationScan) -> list[str]:
-    text = _Texts("%.17g".__mod__)
     rows = []
     for v0, states, period in zip(scan.v0_grid, scan.samples, scan.detected_periods):
-        # The v0 prefix and the period suffix are shared by every sample of a point.
-        prefix = "%.17g," % v0
-        suffix = ",%d\n" % (APERIODIC_CSV_MARKER if period is None else period)
-        rows.extend(
-            "%s%d,%s,%s,%s%s" % (prefix, j, text[s.k], text[s.q], text[s.v], suffix)
-            for j, s in enumerate(states)
-        )
+        # Every sample of a point shares its v0 and period fields.
+        row = "%.17g,%%d,%%s,%d\n" % (v0, APERIODIC_CSV_MARKER if period is None else period)
+        rows += map(row.__mod__, enumerate(_kqv_texts(states)))
     return rows
 
 
@@ -274,7 +293,7 @@ def _json_text(obj) -> str:
     NaN and infinities raise ValueError, as in json.
     """
     parts: list[str] = []
-    _json_parts(obj, 0, parts, _Texts(float.__repr__))
+    _json_parts(obj, 0, parts, _Texts())
     return "".join(parts)
 
 
@@ -372,10 +391,18 @@ class _Panel:
     def py(self, v: float) -> float:
         return self.top + self.height - (v - self.y0) / (self.y1 - self.y0) * self.height
 
+    def pixels(self, points) -> list[tuple[float, float]]:
+        """The pixel of each (x, y) point, bit for bit what px and py give."""
+        left, x0, dx, width = self.left, self.x0, self.x1 - self.x0, self.width
+        bottom, y0, dy, height = self.top + self.height, self.y0, self.y1 - self.y0, self.height
+        return [
+            (left + (x - x0) / dx * width, bottom - (y - y0) / dy * height) for x, y in points
+        ]
+
     def polyline(self, points, color, width=1.3, dash=None):
         if len(points) < 2:
             return
-        coords = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in points)
+        coords = " ".join(map("%.2f,%.2f".__mod__, self.pixels(points)))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -383,16 +410,20 @@ class _Panel:
         )
 
     def dots(self, points, color, radius=2.0):
-        self.elements.extend(
-            '<circle cx="%.2f" cy="%.2f" r="%s" fill="%s"/>'
-            % (self.px(x), self.py(y), radius, color)
-            for x, y in points
-        )
+        self.elements += self.circles(points, color, radius)
 
-    def column(self, x, cys, color, radius):
-        """Dots sharing the abscissa x, one per formatted ordinate pixel in cys."""
-        dot = '<circle cx="%.2f" cy="%%s" r="%s" fill="%s"/>' % (self.px(x), radius, color)
-        self.elements.extend(map(dot.__mod__, cys))
+    def circles(self, points, color, radius) -> list[str]:
+        """The ``<circle>`` of each (x, y) point."""
+        dot = '<circle cx="%%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (radius, color)
+        return list(map(dot.__mod__, self.pixels(points)))
+
+    def column(self, x, states, ordinate, color, radius):
+        """Dots at the abscissa x, one per state, formatted once per distinct state."""
+
+        def circles(distinct):
+            return self.circles([(x, y) for y in map(ordinate, distinct)], color, radius)
+
+        self.elements += _state_texts(states, circles)
 
     def hline(self, y, color):
         if self.y0 <= y <= self.y1:
@@ -522,14 +553,12 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     if spec.y_field not in ("k", "q", "v"):
         raise SpecError(f"bifurcation y_field must be k, q or v, got {spec.y_field!r}")
     ordinate = attrgetter(spec.y_field)
-    columns = [list(map(ordinate, states)) for states in scan.samples]
     x_lim = _auto_range(list(scan.v0_grid), pad=0.02)
-    y_lim = _auto_range([y for ys in columns for y in ys])
+    y_lim = _auto_range(list(map(ordinate, chain.from_iterable(scan.samples))))
     [panel] = _layout((x_lim, y_lim, "optimum velocity v0", spec.y_field))
     panel.vline(2.0, _PATH_COLOR)
-    cy = _Texts(lambda y: "%.2f" % panel.py(y))
-    for v0, ys in zip(scan.v0_grid, columns):
-        panel.column(v0, map(cy.__getitem__, ys), _CURVE_COLOR, radius=0.7)
+    for v0, states in zip(scan.v0_grid, scan.samples):
+        panel.column(v0, states, ordinate, _CURVE_COLOR, radius=0.7)
     return [panel]
 
 

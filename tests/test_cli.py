@@ -362,6 +362,38 @@ class TestReproCommand:
         assert set(kwargs) == {"n", "threshold"}
 
 
+class TestSharedParser:
+    """Every call in a process parses with one parser; no call leaks into the next."""
+
+    ORBIT = ("orbit", "--v0", "2.585", "--k0", "0.101")
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_format_does_not_carry_over(self, tmp_path):
+        assert run_cli(*self.ORBIT, "--format", "csv", "--out", str(tmp_path / "a")) == 0
+        assert run_cli(*self.ORBIT, "--out", str(tmp_path / "b")) == 0
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["orbit.csv", "orbit.json"]
+
+    def test_the_repro_prefix_does_not_carry_over(self, repro_out, tmp_path):
+        # repro_out has run `repro`, which names its orbit files after the experiment
+        assert run_cli(*self.ORBIT, "--out", str(tmp_path / "c")) == 0
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["orbit.csv", "orbit.json"]
+        written = tmp_path / "c" / "orbit.csv"
+        assert written.read_bytes() == (repro_out / "chaotic_b_orbit.csv").read_bytes()
+
+    def test_a_usage_error_leaves_the_next_call_unchanged(self, tmp_path, capsys):
+        assert run_cli(*self.ORBIT, "--out", str(tmp_path / "before")) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("orbit")
+        assert exc.value.code == 2
+        assert "--v0" in capsys.readouterr().err
+        assert run_cli(*self.ORBIT, "--out", str(tmp_path / "after")) == 0
+        for name in ("orbit.csv", "orbit.json"):
+            after = (tmp_path / "after" / name).read_bytes()
+            assert after == (tmp_path / "before" / name).read_bytes(), name
+
+
 def test_every_traced_site_resolves():
     # perfbench/tracing.py wraps these (module, attribute) bindings by name;
     # it is read here, never written

@@ -1,13 +1,15 @@
 """Byte identity of the bulk emitters against the plain per-value builders.
 
 The emitters build each CSV row and each SVG dot with one %-format, encode
-JSON arrays of numbers with json's C encoder, and format each distinct float
-of a scan once per document, looking up its text after that. The references
-below are the straightforward builders they replaced:
-``json.dumps(indent=2)``, one f-string with ``format(x, ".17g")`` per CSV
-row, and one f-string per bifurcation dot from a flat (v0, y) point list
-with the panel's pixel mapping written out. Every document must agree byte
-for byte.
+JSON arrays of numbers with json's C encoder, format each distinct float of
+a JSON array once per document, format the CSV fields and the bifurcation
+dot of each distinct state object once, and map a whole point list to
+pixels in one pass. The references below are the
+straightforward builders they replaced: ``json.dumps(indent=2)``, one
+f-string with ``format(x, ".17g")`` per CSV row, one f-string per
+bifurcation dot from a flat (v0, y) point list, and one f-string per
+polyline point and per dot, each with the panel's pixel mapping written
+out. Every document must agree byte for byte.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from greenberg_dynamics.analysis import (
     bifurcation_scan,
     lyapunov_curve,
 )
-from greenberg_dynamics.dynamics import iterate, sensitivity_experiment
+from greenberg_dynamics.dynamics import Orbit, iterate, sensitivity_experiment
 from greenberg_dynamics.emit import (
     DiagramPayload,
     PlotSpec,
@@ -118,6 +120,17 @@ def ref_dot(panel, x, y, color, radius):
         f'<circle cx="{ref_px(panel, x):.2f}" cy="{ref_py(panel, y):.2f}" '
         f'r="{radius}" fill="{color}"/>'
     )
+
+
+def ref_polyline(panel, points, color, width, dash):
+    if len(points) < 2:
+        return []
+    coords = " ".join(f"{ref_px(panel, x):.2f},{ref_py(panel, y):.2f}" for x, y in points)
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return [
+        f'<polyline points="{coords}" fill="none" stroke="{color}" '
+        f'stroke-width="{width}"{dash_attr}/>'
+    ]
 
 
 def ref_bifurcation_panels(spec, scan):
@@ -313,6 +326,21 @@ def test_orbit_csv_and_cobweb_match_reference(v0, k0, n):
     assert panel.elements == expected
 
 
+@pytest.mark.parametrize("escaped", [None, 7])
+def test_orbit_with_shared_and_equal_states_matches_reference(escaped):
+    # a state recurs as the same object (as model._states shares it) and as
+    # equal but distinct objects, one of which prints differently (-0.0)
+    a = TrafficState(k=0.5, q=0.25, v=-0.0)
+    b = TrafficState(k=0.25, q=0.5, v=0.0)
+    b_copy = TrafficState(k=0.25, q=0.5, v=0.0)
+    a_twin = TrafficState(k=0.5, q=0.25, v=0.0)
+    assert a_twin == a and b_copy == b
+    states = (a, b, a, b_copy, a_twin, b, a)
+    orbit = Orbit(params=TrafficParams(v0=2.0), k0=0.5, n=6, states=states, escaped=escaped)
+    assert csv_text(orbit) == ref_csv(ref_orbit_rows, orbit)
+    assert csv_text(orbit).splitlines()[5] == "4,0.5,0.25,0,"
+
+
 def test_escaped_orbit_csv_matches_reference():
     orbit = iterate(INV_E, TrafficParams(v0=math.e), 10)
     assert orbit.escaped is not None
@@ -347,3 +375,54 @@ def test_every_payload_json_matches_indented_dumps():
         assert out.getvalue() == expected
         assert count == len(expected.encode("utf-8"))
 
+
+
+# --- the bulk pixel mapping of polylines and dots --------------------------
+
+pixel_numbers = (
+    st.floats()
+    | st.integers(-10**6, 10**6)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])
+)
+panel_sizes = st.integers(0, 1000) | st.floats(0.0, 1000.0)
+
+
+def outcome(draw):
+    """The elements a drawing appends, or ZeroDivisionError for a zero-width limit."""
+    try:
+        return draw()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@given(
+    st.tuples(panel_sizes, panel_sizes, panel_sizes, panel_sizes),
+    st.tuples(pixel_numbers, pixel_numbers, pixel_numbers, pixel_numbers),
+    st.lists(st.tuples(pixel_numbers, pixel_numbers), max_size=8),
+    st.sampled_from([(1.3, None), (1.1, "5 4")]),
+)
+def test_bulk_polyline_and_dots_match_per_point_mapping(box, limits, points, stroke):
+    left, top, width, height = box
+    x0, x1, y0, y1 = limits
+    panel = emit._Panel(left, top, width, height, (x0, x1), (y0, y1), "x", "y", "c")
+
+    def bulk():
+        panel.elements = []
+        panel.polyline(points, "#123456", *stroke)
+        panel.dots(points, "#654321", radius=2.4)
+        return panel.elements
+
+    def reference():
+        line = ref_polyline(panel, points, "#123456", *stroke)
+        return line + [ref_dot(panel, x, y, "#654321", 2.4) for x, y in points]
+
+    assert outcome(bulk) == outcome(reference)
+
+
+def test_empty_point_lists_draw_nothing():
+    panel = emit._Panel(56.0, 44, 300.0, 260, (0.0, 1.0), (0.0, 3.0), "k", "v", "c")
+    panel.dots([], emit._MARKER_COLOR)
+    panel.polyline([], emit._CURVE_COLOR)
+    panel.polyline([(0.5, 1.5)], emit._CURVE_COLOR)
+    assert panel.elements == []
+    assert panel.pixels([]) == []
