@@ -33,7 +33,7 @@ from .errors import (
     EscapeError,
     SpecError,
 )
-from .emit import DiagramPayload, PlotSpec, render_svg, write_csv, write_json
+from .emit import DiagramPayload, PlotSpec, render_svg, write_csv, write_json, write_svg
 from .model import (
     TrafficParams,
     TrafficState,
@@ -80,4 +80,5 @@ __all__ = [
     "velocity_of_density",
     "write_csv",
     "write_json",
+    "write_svg",
 ]

@@ -188,7 +188,8 @@ def _write(args: argparse.Namespace, payload, stem: str, svgs=()) -> list[str]:
     Files are named ``<prefix><stem>.csv``, ``.json`` and, for each
     (suffix, PlotSpec) in ``svgs``, ``<prefix><stem><suffix>.svg``.
     Returns the paths written, in order, and prints them once all are
-    written. If a writer raises, the files already written are removed.
+    written. Each path is listed before its writer runs, so if a writer
+    raises, every file of the payload is removed, the partial one included.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -198,13 +199,12 @@ def _write(args: argparse.Namespace, payload, stem: str, svgs=()) -> list[str]:
     try:
         for fmt, writer in (("csv", emit.write_csv), ("json", emit.write_json)):
             if fmt in formats:
-                writer(payload, out / f"{base}.{fmt}")
                 written.append(out / f"{base}.{fmt}")
+                writer(payload, written[-1])
         if "svg" in formats:
             for suffix, spec in svgs:
-                path = out / f"{base}{suffix}.svg"
-                path.write_text(emit.render_svg(spec, payload), encoding="utf-8")
-                written.append(path)
+                written.append(out / f"{base}{suffix}.svg")
+                emit.write_svg(spec, payload, written[-1])
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -341,7 +341,8 @@ def _cmd_repro(args: argparse.Namespace) -> tuple[list[str], dict]:
         "experiments": experiments,
     }
     path = Path(args.out) / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with emit._sink(path) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
     return [str(path)], {}
 

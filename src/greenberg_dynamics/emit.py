@@ -5,7 +5,12 @@ exactly; JSON uses the shortest exact representation. SVG output is plain
 text with no external dependencies, and identical payload + spec pairs
 always produce byte-identical documents.
 
-Every document is built whole in memory and written in one call. Its cost
+Every document is streamed to its destination while it is built, so a
+scan's documents never sit whole in memory: its CSV is written one grid
+point at a time, its JSON after each point's array of samples, and its
+bifurcation plot one column of dots at a time (``_write_lines``). Smaller
+documents are joined once and written in one call. A file opened for a
+document is removed if writing it fails (``_sink``). The cost of a document
 is formatting numbers, and the large documents repeat most of theirs: an
 orbit or a bifurcation point that settles on a cycle repeats the cycle's
 states. ``model._states`` shares one TrafficState among the samples that
@@ -20,19 +25,21 @@ every other array of numbers.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
-and ``render_svg`` dispatch through it and nothing else, so the payload type
+and ``write_svg`` dispatch through it and nothing else, so the payload type
 alone selects the plot, as it selects the CSV and JSON layout.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 from .analysis import BifurcationScan, LyapunovCurve, fixed_point
 from .dynamics import Orbit, SensitivityResult, cobweb_path
@@ -81,7 +88,7 @@ class _Schema:
 
     kind: str  # the JSON document kind
     header: str  # the CSV header
-    rows: Callable  # payload -> CSV data rows, each ending in a newline
+    rows: Callable  # payload -> CSV data rows in pieces: lists of rows ending in a newline
     settings: Callable  # payload -> the input parameters echoed into every artifact
     data: Callable  # payload -> the JSON "data" object
     panels: Callable  # (spec, payload) -> the SVG panels
@@ -129,10 +136,40 @@ def _kqv_texts(states: Sequence[TrafficState]) -> list[str]:
     return _state_texts(states, fields)
 
 
+@contextmanager
 def _sink(destination):
+    """The text stream of a destination: itself if it has ``write``, else its file.
+
+    The file is written with "\n" line ends on every platform, and removed
+    if writing or closing it raises, so a failed document leaves no file.
+    """
     if hasattr(destination, "write"):
-        return nullcontext(destination)
-    return open(destination, "w", encoding="utf-8", newline="")
+        yield destination
+        return
+    out = open(destination, "w", encoding="utf-8", newline="")
+    try:
+        with out:
+            yield out
+    except BaseException:
+        Path(destination).unlink(missing_ok=True)
+        raise
+
+
+class _Stream(list):
+    """Text parts bound for ``out``; ``size`` counts the UTF-8 bytes written so far."""
+
+    def __init__(self, out):
+        super().__init__()
+        self.out, self.size = out, 0
+
+    def write(self, text: str) -> None:
+        self.out.write(text)
+        self.size += len(text) if text.isascii() else len(text.encode("utf-8"))
+
+    def flush(self) -> None:
+        """Write the parts held so far as one piece."""
+        self.write("".join(self))
+        self.clear()
 
 
 def _states_data(states) -> dict:
@@ -154,12 +191,12 @@ def _grid_settings(sweep) -> dict:
     }
 
 
-def _orbit_rows(orbit: Orbit) -> list[str]:
+def _orbit_rows(orbit: Orbit) -> list[list[str]]:
     rows = list(map("%d,%s,\n".__mod__, enumerate(_kqv_texts(orbit.states))))
     if rows:
         # Only the last row carries the escape flag.
         rows[-1] = rows[-1][:-1] + ("1" if orbit.escaped is not None else "0") + "\n"
-    return rows
+    return [rows]
 
 
 def _orbit_settings(orbit: Orbit) -> dict:
@@ -170,8 +207,8 @@ def _orbit_data(orbit: Orbit) -> dict:
     return {**_states_data(orbit.states), "escaped": orbit.escaped}
 
 
-def _diagram_rows(payload: DiagramPayload) -> list[str]:
-    return ["%.17g,%.17g,%.17g\n" % (s.k, s.q, s.v) for s in payload.samples]
+def _diagram_rows(payload: DiagramPayload) -> list[list[str]]:
+    return [["%.17g,%.17g,%.17g\n" % (s.k, s.q, s.v) for s in payload.samples]]
 
 
 def _diagram_settings(payload: DiagramPayload) -> dict:
@@ -182,13 +219,12 @@ def _diagram_data(payload: DiagramPayload) -> dict:
     return _states_data(payload.samples)
 
 
-def _scan_rows(scan: BifurcationScan) -> list[str]:
-    rows = []
+def _scan_rows(scan: BifurcationScan) -> Iterator[list[str]]:
+    """The rows of each grid point, one piece per point, built as it is written."""
     for v0, states, period in zip(scan.v0_grid, scan.samples, scan.detected_periods):
         # Every sample of a point shares its v0 and period fields.
         row = "%.17g,%%d,%%s,%d\n" % (v0, APERIODIC_CSV_MARKER if period is None else period)
-        rows += map(row.__mod__, enumerate(_kqv_texts(states)))
-    return rows
+        yield list(map(row.__mod__, enumerate(_kqv_texts(states))))
 
 
 def _scan_data(scan: BifurcationScan) -> dict:
@@ -203,15 +239,15 @@ def _scan_data(scan: BifurcationScan) -> dict:
     }
 
 
-def _curve_rows(curve: LyapunovCurve) -> list[str]:
-    return [
+def _curve_rows(curve: LyapunovCurve) -> list[list[str]]:
+    return [[
         "%.17g,,%d,%d\n" % (v0, terms, skipped)
         if lam is None
         else "%.17g,%.17g,%d,%d\n" % (v0, lam, terms, skipped)
         for v0, lam, terms, skipped in zip(
             curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms
         )
-    ]
+    ]]
 
 
 def _curve_data(curve: LyapunovCurve) -> dict:
@@ -223,12 +259,12 @@ def _curve_data(curve: LyapunovCurve) -> dict:
     }
 
 
-def _sensitivity_rows(result: SensitivityResult) -> list[str]:
+def _sensitivity_rows(result: SensitivityResult) -> list[list[str]]:
     a, b = result.orbit_a.states, result.orbit_b.states
-    return [
+    return [[
         "%d,%.17g,%.17g,%.17g\n" % (i, a[i].k, b[i].k, sep)
         for i, sep in enumerate(result.separation)
-    ]
+    ]]
 
 
 def _sensitivity_settings(result: SensitivityResult) -> dict:
@@ -261,12 +297,23 @@ def _schema_of(payload, what: str) -> _Schema:
 
 
 def write_csv(payload, destination) -> int:
-    """Write one CSV document for the payload; returns the data row count."""
+    """Write one CSV document for the payload; returns the data row count.
+
+    The header goes out with the first piece of rows, then each further
+    piece in one write: a scan has one piece per grid point, the other
+    payloads one piece.
+    """
     schema = _schema_of(payload, "CSV")
-    rows = schema.rows(payload)
+    head = schema.header + "\n"
+    count = 0
     with _sink(destination) as out:
-        out.write(schema.header + "\n" + "".join(rows))
-    return len(rows)
+        for rows in schema.rows(payload):
+            out.write(head + "".join(rows))
+            head = ""
+            count += len(rows)
+        if head:  # a scan with no grid points
+            out.write(head)
+    return count
 
 
 def envelope(kind: str, settings: dict, data: dict) -> dict:
@@ -287,31 +334,45 @@ def _document(payload) -> dict:
 _JSON_SCALARS = {float, int, bool, type(None)}
 
 
-def _json_text(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2, allow_nan=False)``.
+def _write_json_text(obj, out) -> int:
+    """Write the text of ``json.dumps(obj, indent=2, allow_nan=False)`` and a newline.
 
-    NaN and infinities raise ValueError, as in json.
+    Returns the byte count. NaN and infinities raise DomainError, a
+    ValueError as in json, possibly after part of the text is written.
     """
-    parts: list[str] = []
+    parts = _Stream(out)
     _json_parts(obj, 0, parts, _Texts())
-    return "".join(parts)
+    parts.append("\n")
+    parts.flush()
+    return parts.size
 
 
-def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> None:
+def _dumps(obj) -> str:
+    """json's text of a scalar or a list of scalars; NaN and infinities raise DomainError."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError("NaN and infinities have no JSON text") from exc
+
+
+def _json_parts(obj, depth: int, parts: _Stream, floats: _Texts) -> None:
     """Append the text of ``obj`` nested ``depth`` deep to ``parts``.
 
     json ignores its C encoder once ``indent`` is set. Here dicts (with str
     keys) and lists holding anything but numbers, bools and None are walked
-    in Python, and the text is joined once by the caller, not copied at
-    every level. The element types of a list are read once, in C. A list of
-    finite floats joins their texts from ``floats``, the document's memo, so
-    each distinct float is formatted once. Any other list of numbers, bools
-    and None goes to the C encoder in one call, which rejects NaN and
+    in Python, and the text is joined once per piece, not copied at every
+    level. A list of such containers, like the sample arrays of a scan's
+    grid points, writes its parts out after each element, so a document is
+    a piece per element, and one piece if it has no such list. The element
+    types of a list are read once, in C. A list of finite floats joins
+    their texts from ``floats``, the document's memo, so each distinct
+    float is formatted once. Any other list of numbers, bools and None goes
+    to the C encoder in one call (``_dumps``), which rejects NaN and
     infinities; with no string inside, every ", " in its text is a
     separator and becomes the indented line break.
     """
     if not isinstance(obj, (dict, list, tuple)):
-        parts.append(json.dumps(obj, allow_nan=False))
+        parts.append(_dumps(obj))
         return
     if not obj:
         parts.append("{}" if isinstance(obj, dict) else "[]")
@@ -331,11 +392,12 @@ def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> None:
     if kinds == {float} and all(map(math.isfinite, obj)):
         parts += (inner, ("," + inner).join(map(floats.__getitem__, obj)))
     elif kinds <= _JSON_SCALARS:
-        parts += (inner, json.dumps(obj, allow_nan=False)[1:-1].replace(", ", "," + inner))
+        parts += (inner, _dumps(obj)[1:-1].replace(", ", "," + inner))
     else:
         for x in obj:
             parts.append(sep)
             _json_parts(x, depth + 1, parts, floats)
+            parts.flush()
             sep = "," + inner
     parts.append("\n" + "  " * depth + "]")
 
@@ -343,17 +405,16 @@ def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> None:
 def write_json(payload, destination) -> int:
     """Write one JSON document for the payload; returns the byte count.
 
-    A NaN or infinity, such as a flow that overflowed, raises DomainError.
+    A NaN or infinity, such as a flow that overflowed, raises DomainError;
+    the file at a path destination is then removed, while a stream keeps
+    the text written before it.
     """
     document = _document(payload)
     try:
-        text = _json_text(document) + "\n"
-    except ValueError as exc:
+        with _sink(destination) as out:
+            return _write_json_text(document, out)
+    except DomainError as exc:
         raise DomainError(f"{document['kind']} document holds a non-finite number") from exc
-    with _sink(destination) as out:
-        out.write(text)
-    # json escapes every non-ASCII character, so characters are bytes.
-    return len(text)
 
 
 def _escape_xml(text: str) -> str:
@@ -383,7 +444,9 @@ class _Panel:
         self.y0, self.y1 = y_lim
         self.x_label, self.y_label = x_label, y_label
         self.clip_id = clip_id
-        self.elements: list[str] = []
+        # Each element is a line, or a callable that draws a piece of lines
+        # when the document is written (``_write_lines``).
+        self.elements: list[str | Callable[[], list[str]]] = []
 
     def px(self, v: float) -> float:
         return self.left + (v - self.x0) / (self.x1 - self.x0) * self.width
@@ -410,20 +473,26 @@ class _Panel:
         )
 
     def dots(self, points, color, radius=2.0):
-        self.elements += self.circles(points, color, radius)
-
-    def circles(self, points, color, radius) -> list[str]:
-        """The ``<circle>`` of each (x, y) point."""
         dot = '<circle cx="%%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (radius, color)
-        return list(map(dot.__mod__, self.pixels(points)))
+        self.elements += map(dot.__mod__, self.pixels(points))
 
     def column(self, x, states, ordinate, color, radius):
-        """Dots at the abscissa x, one per state, formatted once per distinct state."""
+        """Dots at the abscissa x, one per state, formatted once per distinct state.
+
+        The dots are one piece of the document, drawn when it is written.
+        The piece keeps the pixel of x and the mapping of y, bit for bit
+        what px and py give, but not the panel, which keeps the piece: that
+        cycle would keep the scan alive until the garbage collector ran.
+        """
+        if not states:
+            return
+        bottom, y0, dy, height = self.top + self.height, self.y0, self.y1 - self.y0, self.height
+        dot = '<circle cx="%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (self.px(x), radius, color)
 
         def circles(distinct):
-            return self.circles([(x, y) for y in map(ordinate, distinct)], color, radius)
+            return [dot % (bottom - (y - y0) / dy * height) for y in map(ordinate, distinct)]
 
-        self.elements += _state_texts(states, circles)
+        self.elements.append(lambda: _state_texts(states, circles))
 
     def hline(self, y, color):
         if self.y0 <= y <= self.y1:
@@ -622,8 +691,28 @@ _SCHEMAS = {
 }
 
 
-def render_svg(spec: PlotSpec, payload) -> str:
-    """Render the payload as a standalone SVG document string; its type picks the plot."""
+def _write_lines(lines, out) -> int:
+    """Write each line and a newline; returns the UTF-8 byte count.
+
+    A callable among the lines is a piece: it is called only now, and its
+    lines are joined and written on their own. The strings between pieces
+    are joined and written together, so a document without pieces is one
+    join and one write.
+    """
+    parts = _Stream(out)
+    for deferred, run in groupby(lines, callable):
+        for piece in (draw() for draw in run) if deferred else [run]:
+            parts.write("\n".join([*piece, ""]))
+    return parts.size
+
+
+def write_svg(spec: PlotSpec, payload, destination) -> int:
+    """Write the payload as a standalone SVG document; returns the byte count.
+
+    The payload type picks the plot. The header, the panels and the footer
+    go out through ``_write_lines``: a bifurcation plot one column of dots
+    at a time, any other plot in one write.
+    """
     schema = _schema_of(payload, "SVG")
     settings = json.dumps(schema.settings(payload))
     lines = [
@@ -641,6 +730,13 @@ def render_svg(spec: PlotSpec, payload) -> str:
         )
     for panel in schema.panels(spec, payload):
         lines += panel.lines()
-    lines += ["</svg>", ""]
-    # One join builds the whole document; the lines are references, not copies.
-    return "\n".join(lines)
+    lines.append("</svg>")
+    with _sink(destination) as out:
+        return _write_lines(lines, out)
+
+
+def render_svg(spec: PlotSpec, payload) -> str:
+    """Render the payload as a standalone SVG document string; its type picks the plot."""
+    out = io.StringIO()
+    write_svg(spec, payload, out)
+    return out.getvalue()

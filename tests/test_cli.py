@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import errno
 import hashlib
 import importlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from greenberg_dynamics import cli
+from greenberg_dynamics import cli, emit
 from greenberg_dynamics.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -201,6 +202,38 @@ class TestBifurcationCommand:
             "--out", str(tmp_path),
         )
         assert code == 3
+
+    def test_a_write_that_fails_part_way_exits_4_and_leaves_no_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the disk fills up once the first piece of the scan's CSV is written
+        written = []
+
+        def open_until_full(*args, **kwargs):
+            out = open(*args, **kwargs)
+
+            def write(text):
+                if written:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(text)
+                return type(out).write(out, text)
+
+            out.write = write
+            return out
+
+        monkeypatch.setattr(emit, "open", open_until_full, raising=False)
+        code = run_cli(
+            "bifurcation", "--v0-min", "2.2", "--v0-max", "2.3", "--steps", "4",
+            "--n", "200", "--keep", "10", "--out", str(tmp_path),
+        )
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert err.startswith("i/o error: ") and "wrote" not in out
+        # the header and the 10 rows of the first grid point went out
+        [piece] = written
+        assert piece.startswith("v0,sample_index,k,q,v,detected_period\n2.2000000000000002,")
+        assert piece.count("\n") == 1 + 10
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLyapunovCommand:

@@ -1,10 +1,14 @@
 """Tests for CSV/JSON serialization and SVG rendering."""
 
 import csv
+import functools
+import gc
 import io
 import json
 import math
 import os
+import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -22,8 +26,9 @@ from greenberg_dynamics.emit import (
     render_svg,
     write_csv,
     write_json,
+    write_svg,
 )
-from greenberg_dynamics.errors import SpecError
+from greenberg_dynamics.errors import DomainError, SpecError
 from greenberg_dynamics.model import TrafficParams, diagram_samples
 
 INV_E = math.exp(-1.0)
@@ -207,6 +212,27 @@ class TestWriteJson:
         count = write_json(diagram, path)
         assert count == os.path.getsize(path)
 
+    @pytest.mark.parametrize(
+        "overflowed",
+        [
+            iterate(1e307, TrafficParams(v0=2.5, kj=1e308), 5),
+            # q overflows in the second point, after the k arrays are written
+            bifurcation_scan(0.0005, 0.0012, 3, k0=1e-300, n_total=60, n_keep=40),
+        ],
+        ids=["orbit", "scan"],
+    )
+    def test_a_non_finite_number_leaves_no_file(self, overflowed, tmp_path):
+        with pytest.raises(DomainError):
+            write_json(overflowed, tmp_path / "overflowed.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_closed_stream_is_not_a_domain_error(self, orbit):
+        closed = io.StringIO()
+        closed.close()
+        with pytest.raises(ValueError, match="closed file") as raised:
+            write_json(orbit, closed)
+        assert not isinstance(raised.value, DomainError)
+
     def test_key_order_is_deterministic(self, scan):
         a, b = io.StringIO(), io.StringIO()
         write_json(scan, a)
@@ -296,3 +322,55 @@ def test_orbit_subclass_emits_the_orbit_bytes(orbit):
         assert sub.getvalue() == plain.getvalue()
     spec = PlotSpec(title="cobweb")
     assert render_svg(spec, tagged) == render_svg(spec, orbit)
+
+
+class TestStreamingMemory:
+    """Writing a document holds a piece of it at a time, never the whole.
+
+    Each bound is 1.5 times the tracemalloc peak, in MiB, of writing that
+    document of the default 1000-point scan to a file on CPython 3.11:
+    0.036 (CSV), 4.90 (JSON) and 0.955 (each SVG); 3.10, 3.12 and 3.13 read
+    within 10 % of these. Building each document whole before writing it
+    peaked at 16.6, 11.7 and 6.5 MiB. What remains of the JSON peak is the
+    scan's data arrays and the memo of float texts, not the text.
+    """
+
+    @pytest.fixture(scope="class")
+    def default_scan(self):
+        return bifurcation_scan(0.05, 2.7, 1000)
+
+    @pytest.mark.parametrize(
+        "name, write, bound",
+        [
+            ("scan.csv", write_csv, 0.054),
+            ("scan.json", write_json, 7.35),
+            ("scan_k.svg", functools.partial(write_svg, PlotSpec(y_field="k")), 1.43),
+            ("scan_v.svg", functools.partial(write_svg, PlotSpec(y_field="v")), 1.43),
+        ],
+        ids=["csv", "json", "svg_k", "svg_v"],
+    )
+    def test_peak_while_writing_stays_below_the_bound(
+        self, default_scan, tmp_path, name, write, bound
+    ):
+        path = tmp_path / name
+        write(default_scan, path)  # first-call set-up happens outside the trace
+        tracemalloc.start()
+        try:
+            write(default_scan, path)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_a_written_plot_keeps_no_cycle_that_holds_the_samples(self):
+        # with a cycle, a scan's samples would live until the collector ran,
+        # and the samples of repeated runs in one process would pile up
+        scan = bifurcation_scan(2.2, 2.3, 4, n_total=200, n_keep=10)
+        alive = weakref.ref(scan.samples[0][0])
+        gc.disable()
+        try:
+            write_svg(PlotSpec(), scan, io.StringIO())
+            del scan
+            assert alive() is None
+        finally:
+            gc.enable()

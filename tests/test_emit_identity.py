@@ -1,4 +1,4 @@
-"""Byte identity of the bulk emitters against the plain per-value builders.
+"""Byte identity of the bulk, streaming emitters against the plain per-value builders.
 
 The emitters build each CSV row and each SVG dot with one %-format, encode
 JSON arrays of numbers with json's C encoder, format each distinct float of
@@ -10,12 +10,19 @@ f-string with ``format(x, ".17g")`` per CSV row, one f-string per
 bifurcation dot from a flat (v0, y) point list, and one f-string per
 polyline point and per dot, each with the panel's pixel mapping written
 out. Every document must agree byte for byte.
+
+The emitters write a scan's documents a piece at a time. The file each
+writer streams must equal the text it writes to a ``StringIO`` and, for
+SVG, the string of ``render_svg``, with the same return value; a document
+that fails part-way must leave no file.
 """
 
 import dataclasses
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -33,10 +40,10 @@ from greenberg_dynamics.dynamics import Orbit, iterate, sensitivity_experiment
 from greenberg_dynamics.emit import (
     DiagramPayload,
     PlotSpec,
-    _json_text,
     render_svg,
     write_csv,
     write_json,
+    write_svg,
 )
 from greenberg_dynamics.errors import DomainError
 from greenberg_dynamics.model import TrafficParams, TrafficState, diagram_samples
@@ -162,6 +169,15 @@ def csv_text(payload):
     return out.getvalue()
 
 
+def json_text(obj):
+    """The streamed JSON text of any document, without its final newline."""
+    out = io.StringIO()
+    size = emit._write_json_text(obj, out)
+    text = out.getvalue()
+    assert size == len(text.encode("utf-8")) and text.endswith("\n")
+    return text[:-1]
+
+
 # --- JSON ------------------------------------------------------------------
 
 edge_floats = st.sampled_from(
@@ -182,7 +198,7 @@ documents = st.recursive(
 @example([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])  # equal floats that print differently
 @example({"a": [1.0, 1.0], "b": [[1, True, 1.0], [1.0, 1]]})  # equal numbers of three types
 def test_json_text_matches_indented_dumps(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+    assert json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
 
 @given(
@@ -203,12 +219,12 @@ def test_json_text_rejects_non_finite_floats(doc, bad, place):
     with pytest.raises(ValueError):
         json.dumps(wrapped, indent=2, allow_nan=False)
     with pytest.raises(ValueError):
-        _json_text(wrapped)
+        json_text(wrapped)
 
 
 def test_json_byte_count_is_the_encoded_length():
     doc_with_non_ascii = {"é, ü": [" ", 1.5, None]}
-    text = _json_text(doc_with_non_ascii)
+    text = json_text(doc_with_non_ascii)
     assert len(text.encode("utf-8")) == len(text)
 
 
@@ -279,6 +295,13 @@ def test_scans_with_escapes_and_periods_match_reference():
         for y_field in "kqv":
             spec = PlotSpec(y_field=y_field)
             assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
+
+
+def empty_scan():
+    settings = ScanSettings(k0=0.25, n_total=300, n_keep=60, tolerance=1e-6, max_period=64)
+    return BifurcationScan(
+        v0_grid=(), samples=(), detected_periods=(), escaped=(), settings=settings
+    )
 
 
 def signed_zero_scan():
@@ -375,6 +398,69 @@ def test_every_payload_json_matches_indented_dumps():
         assert out.getvalue() == expected
         assert count == len(expected.encode("utf-8"))
 
+
+# --- streaming: the file equals the in-memory text -------------------------
+
+
+def assert_streams_match(payload, spec):
+    """Each writer puts in a file the bytes it writes to memory, and returns the same.
+
+    A writer that raises DomainError in memory raises it for the file too
+    and leaves no file behind.
+    """
+    writers = {
+        "doc.csv": write_csv,
+        "doc.json": write_json,
+        "doc.svg": lambda payload, out: write_svg(spec, payload, out),
+    }
+    with tempfile.TemporaryDirectory() as directory:
+        for name, write in writers.items():
+            path = Path(directory) / name
+            memory = io.StringIO()
+            try:
+                result = write(payload, memory)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    write(payload, path)
+                assert not path.exists(), name
+                continue
+            assert write(payload, path) == result, name
+            assert path.read_bytes() == memory.getvalue().encode("utf-8"), name
+            if name == "doc.csv":
+                assert result == memory.getvalue().count("\n") - 1
+            else:
+                assert result == path.stat().st_size, name
+            if name == "doc.svg":
+                assert memory.getvalue() == render_svg(spec, payload)
+
+
+@settings(deadline=None)
+@given(scans(), st.sampled_from("kqv"), st.sampled_from(["", "scan", "é < ü & 1"]))
+def test_streamed_scan_files_match_in_memory_text(scan, y_field, title):
+    assert_streams_match(scan, PlotSpec(title=title, y_field=y_field))
+
+
+def test_every_payload_streams_the_text_it_renders():
+    p = TrafficParams(v0=2.25)
+    escaped = bifurcation_scan(2.25, math.e, 3, k0=INV_E, n_total=3, n_keep=2)
+    partial = bifurcation_scan(0.0005, 0.0012, 3, k0=1e-300, n_total=60, n_keep=40)
+    overflowed = iterate(1e307, TrafficParams(v0=2.5, kj=1e308), 5)
+    assert escaped.escaped[-1] and math.isinf(partial.samples[1][-1].q)
+    assert math.isinf(overflowed.states[-1].q)
+    for payload in [
+        iterate(0.1, TrafficParams(v0=1.25), 20),
+        iterate(INV_E, TrafficParams(v0=math.e), 10),
+        overflowed,
+        DiagramPayload(p, tuple(diagram_samples(p, 20))),
+        lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=50),
+        sensitivity_experiment(0.1, 1e-3, TrafficParams(v0=2.585), n=30),
+        escaped,
+        partial,
+        empty_scan(),
+        signed_zero_scan(),
+    ]:
+        for spec in (PlotSpec(), PlotSpec(title="é < ü", y_field="q")):
+            assert_streams_match(payload, spec)
 
 
 # --- the bulk pixel mapping of polylines and dots --------------------------
