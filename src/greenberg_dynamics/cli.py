@@ -341,8 +341,7 @@ def _cmd_repro(args: argparse.Namespace) -> tuple[list[str], dict]:
         "experiments": experiments,
     }
     path = Path(args.out) / "manifest.json"
-    with emit._sink(path) as out:
-        out.write(json.dumps(doc, indent=2) + "\n")
+    emit._write([json.dumps(doc, indent=2) + "\n"], path)
     print(f"wrote {path}")
     return [str(path)], {}
 

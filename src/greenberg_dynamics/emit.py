@@ -5,18 +5,17 @@ exactly; JSON uses the shortest exact representation. SVG output is plain
 text with no external dependencies, and identical payload + spec pairs
 always produce byte-identical documents.
 
-Every document is streamed to its destination while it is built, so a
-scan's documents never sit whole in memory: its CSV is written one grid
-point at a time, its JSON after each point's array of samples, and its
-bifurcation plot one column of dots at a time (``_write_lines``). Smaller
-documents are joined once and written in one call. A file opened for a
-document is removed if writing it fails (``_sink``). The cost of a document
-is formatting numbers, and the large documents repeat most of theirs: an
-orbit or a bifurcation point that settles on a cycle repeats the cycle's
-states. ``model._states`` shares one TrafficState among the samples that
-repeat a density, so the orbit and scan CSVs format one "k,q,v" text per
-distinct state, and each bifurcation column one ``<circle>``, and look it
-up for every repeat (``_state_texts``). The JSON arrays of floats format
+Each format builds its document as text pieces, and ``_write`` writes every
+document a piece at a time, so a scan's documents never sit whole in
+memory: its CSV is a piece per grid point, its JSON a piece per point's
+array of samples, and its bifurcation plot a piece per column of dots.
+Smaller documents are one piece, one join and one write. The cost of a
+document is formatting numbers, and the large documents repeat most of
+theirs: an orbit or a bifurcation point that settles on a cycle repeats the
+cycle's states. ``model._states`` shares one TrafficState among the samples
+that repeat a density, so the orbit and scan CSVs format one "k,q,v" text
+per distinct state, and each bifurcation column one ``<circle>``, and look
+it up for every repeat (``_state_texts``). The JSON arrays of floats format
 each distinct float once per document (``_Texts``). What remains is one
 %-format per CSV row, with the v0 and period fields of a scan point
 formatted once, one per polyline point and per cobweb dot, each point list
@@ -34,7 +33,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain, groupby
 from operator import attrgetter
@@ -136,40 +134,26 @@ def _kqv_texts(states: Sequence[TrafficState]) -> list[str]:
     return _state_texts(states, fields)
 
 
-@contextmanager
-def _sink(destination):
-    """The text stream of a destination: itself if it has ``write``, else its file.
+def _write(pieces, destination) -> int:
+    """Write each text piece to the destination; returns the UTF-8 byte count.
 
-    The file is written with "\n" line ends on every platform, and removed
-    if writing or closing it raises, so a failed document leaves no file.
+    A stream is written as is. A path's file gets "\\n" line ends on every
+    platform, and is removed if building, writing or closing the document
+    raises, interrupts included, so a failed document leaves no file.
     """
-    if hasattr(destination, "write"):
-        yield destination
-        return
-    out = open(destination, "w", encoding="utf-8", newline="")
-    try:
-        with out:
-            yield out
-    except BaseException:
-        Path(destination).unlink(missing_ok=True)
-        raise
-
-
-class _Stream(list):
-    """Text parts bound for ``out``; ``size`` counts the UTF-8 bytes written so far."""
-
-    def __init__(self, out):
-        super().__init__()
-        self.out, self.size = out, 0
-
-    def write(self, text: str) -> None:
-        self.out.write(text)
-        self.size += len(text) if text.isascii() else len(text.encode("utf-8"))
-
-    def flush(self) -> None:
-        """Write the parts held so far as one piece."""
-        self.write("".join(self))
-        self.clear()
+    if not hasattr(destination, "write"):
+        out = open(destination, "w", encoding="utf-8", newline="")
+        try:
+            with out:
+                return _write(pieces, out)
+        except BaseException:
+            Path(destination).unlink(missing_ok=True)
+            raise
+    size = 0
+    for piece in pieces:
+        destination.write(piece)
+        size += len(piece) if piece.isascii() else len(piece.encode("utf-8"))
+    return size
 
 
 def _states_data(states) -> dict:
@@ -304,15 +288,19 @@ def write_csv(payload, destination) -> int:
     payloads one piece.
     """
     schema = _schema_of(payload, "CSV")
-    head = schema.header + "\n"
     count = 0
-    with _sink(destination) as out:
+
+    def pieces():
+        nonlocal count
+        head = schema.header + "\n"
         for rows in schema.rows(payload):
-            out.write(head + "".join(rows))
+            yield head + "".join(rows)
             head = ""
             count += len(rows)
         if head:  # a scan with no grid points
-            out.write(head)
+            yield head
+
+    _write(pieces(), destination)
     return count
 
 
@@ -334,17 +322,16 @@ def _document(payload) -> dict:
 _JSON_SCALARS = {float, int, bool, type(None)}
 
 
-def _write_json_text(obj, out) -> int:
-    """Write the text of ``json.dumps(obj, indent=2, allow_nan=False)`` and a newline.
+def _json_pieces(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False)`` and a newline, in pieces.
 
-    Returns the byte count. NaN and infinities raise DomainError, a
-    ValueError as in json, possibly after part of the text is written.
+    NaN and infinities raise DomainError, a ValueError as in json, possibly
+    after some pieces are yielded.
     """
-    parts = _Stream(out)
-    _json_parts(obj, 0, parts, _Texts())
+    parts: list[str] = []
+    yield from _json_parts(obj, 0, parts, _Texts())
     parts.append("\n")
-    parts.flush()
-    return parts.size
+    yield "".join(parts)
 
 
 def _dumps(obj) -> str:
@@ -355,18 +342,18 @@ def _dumps(obj) -> str:
         raise DomainError("NaN and infinities have no JSON text") from exc
 
 
-def _json_parts(obj, depth: int, parts: _Stream, floats: _Texts) -> None:
-    """Append the text of ``obj`` nested ``depth`` deep to ``parts``.
+def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> Iterator[str]:
+    """Append the text of ``obj`` nested ``depth`` deep to ``parts``, yielding pieces.
 
     json ignores its C encoder once ``indent`` is set. Here dicts (with str
     keys) and lists holding anything but numbers, bools and None are walked
     in Python, and the text is joined once per piece, not copied at every
     level. A list of such containers, like the sample arrays of a scan's
-    grid points, writes its parts out after each element, so a document is
-    a piece per element, and one piece if it has no such list. The element
-    types of a list are read once, in C. A list of finite floats joins
-    their texts from ``floats``, the document's memo, so each distinct
-    float is formatted once. Any other list of numbers, bools and None goes
+    grid points, yields the parts held so far as one piece after each
+    element, so a document is a piece per element, and one piece if it has
+    no such list. The element types of a list are read once, in C. A list
+    of finite floats joins their texts from ``floats``, the document's memo,
+    so each distinct float is formatted once. Any other list of numbers, bools and None goes
     to the C encoder in one call (``_dumps``), which rejects NaN and
     infinities; with no string inside, every ", " in its text is a
     separator and becomes the indented line break.
@@ -383,7 +370,7 @@ def _json_parts(obj, depth: int, parts: _Stream, floats: _Texts) -> None:
         parts.append("{")
         for key, value in obj.items():
             parts += (sep, json.dumps(key), ": ")
-            _json_parts(value, depth + 1, parts, floats)
+            yield from _json_parts(value, depth + 1, parts, floats)
             sep = "," + inner
         parts.append("\n" + "  " * depth + "}")
         return
@@ -396,8 +383,9 @@ def _json_parts(obj, depth: int, parts: _Stream, floats: _Texts) -> None:
     else:
         for x in obj:
             parts.append(sep)
-            _json_parts(x, depth + 1, parts, floats)
-            parts.flush()
+            yield from _json_parts(x, depth + 1, parts, floats)
+            yield "".join(parts)
+            parts.clear()
             sep = "," + inner
     parts.append("\n" + "  " * depth + "]")
 
@@ -411,8 +399,7 @@ def write_json(payload, destination) -> int:
     """
     document = _document(payload)
     try:
-        with _sink(destination) as out:
-            return _write_json_text(document, out)
+        return _write(_json_pieces(document), destination)
     except DomainError as exc:
         raise DomainError(f"{document['kind']} document holds a non-finite number") from exc
 
@@ -445,7 +432,7 @@ class _Panel:
         self.x_label, self.y_label = x_label, y_label
         self.clip_id = clip_id
         # Each element is a line, or a callable that draws a piece of lines
-        # when the document is written (``_write_lines``).
+        # when the document is written (``write_svg``).
         self.elements: list[str | Callable[[], list[str]]] = []
 
     def px(self, v: float) -> float:
@@ -691,27 +678,13 @@ _SCHEMAS = {
 }
 
 
-def _write_lines(lines, out) -> int:
-    """Write each line and a newline; returns the UTF-8 byte count.
-
-    A callable among the lines is a piece: it is called only now, and its
-    lines are joined and written on their own. The strings between pieces
-    are joined and written together, so a document without pieces is one
-    join and one write.
-    """
-    parts = _Stream(out)
-    for deferred, run in groupby(lines, callable):
-        for piece in (draw() for draw in run) if deferred else [run]:
-            parts.write("\n".join([*piece, ""]))
-    return parts.size
-
-
 def write_svg(spec: PlotSpec, payload, destination) -> int:
     """Write the payload as a standalone SVG document; returns the byte count.
 
-    The payload type picks the plot. The header, the panels and the footer
-    go out through ``_write_lines``: a bifurcation plot one column of dots
-    at a time, any other plot in one write.
+    The payload type picks the plot. Each callable among the lines draws
+    its own piece as it is written, and each run of lines between them is
+    one piece: a bifurcation plot goes out a column of dots at a time, any
+    other plot in one join and one write.
     """
     schema = _schema_of(payload, "SVG")
     settings = json.dumps(schema.settings(payload))
@@ -731,8 +704,12 @@ def write_svg(spec: PlotSpec, payload, destination) -> int:
     for panel in schema.panels(spec, payload):
         lines += panel.lines()
     lines.append("</svg>")
-    with _sink(destination) as out:
-        return _write_lines(lines, out)
+    pieces = (
+        "\n".join([*piece, ""])
+        for deferred, run in groupby(lines, callable)
+        for piece in ((draw() for draw in run) if deferred else [run])
+    )
+    return _write(pieces, destination)
 
 
 def render_svg(spec: PlotSpec, payload) -> str:

@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from greenberg_dynamics import emit
 from greenberg_dynamics.analysis import (
     BifurcationScan,
     ScanSettings,
@@ -322,6 +323,31 @@ def test_orbit_subclass_emits_the_orbit_bytes(orbit):
         assert sub.getvalue() == plain.getvalue()
     spec = PlotSpec(title="cobweb")
     assert render_svg(spec, tagged) == render_svg(spec, orbit)
+
+
+class TestWrite:
+    """``emit._write`` writes every document, and is its one cleanup path."""
+
+    @staticmethod
+    def interrupted():
+        yield "é<\n"
+        raise KeyboardInterrupt
+
+    def test_an_interrupt_propagates_and_leaves_no_file(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            emit._write(self.interrupted(), tmp_path / "doc.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_stream_keeps_the_pieces_written_before_an_interrupt(self):
+        out = io.StringIO()
+        with pytest.raises(KeyboardInterrupt):
+            emit._write(self.interrupted(), out)
+        assert out.getvalue() == "é<\n"
+
+    def test_returns_the_utf8_byte_count(self, tmp_path):
+        path = tmp_path / "doc.txt"
+        assert emit._write(["é<\n", "ab"], path) == 6 == os.path.getsize(path)
+        assert emit._write(["é<\n"], io.StringIO()) == 4
 
 
 class TestStreamingMemory:

@@ -172,7 +172,7 @@ def csv_text(payload):
 def json_text(obj):
     """The streamed JSON text of any document, without its final newline."""
     out = io.StringIO()
-    size = emit._write_json_text(obj, out)
+    size = emit._write(emit._json_pieces(obj), out)
     text = out.getvalue()
     assert size == len(text.encode("utf-8")) and text.endswith("\n")
     return text[:-1]
