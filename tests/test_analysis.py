@@ -325,6 +325,11 @@ class TestLyapunovCurve:
         with pytest.raises(ArgumentError):
             lyapunov_curve(2.0, 3.0, 5, n=1000)
 
+    def test_rejects_a_negative_transient(self):
+        # the CLI's type check rejects --transient -1 before this one runs
+        with pytest.raises(ArgumentError, match="non-negative, got -1"):
+            lyapunov_curve(1.0, 1.2, 3, n_transient=-1)
+
 
 class TestExponentialStabilityCheck:
     def test_certificate_below_one(self):
@@ -354,6 +359,16 @@ class TestExponentialStabilityCheck:
         for k0 in (0.0, -0.1, 1.5):
             with pytest.raises(DomainError):
                 exponential_stability_check(TrafficParams(v0=0.5), k0)
+
+    def test_certificate_from_the_fixed_point_is_the_multiplier(self):
+        # from k0 = k* the deviation factor is 1 - v0; a k1 rounded just
+        # below k* may raise beta by an ulp (2.2e-16 at most over 20 000 v0)
+        rng = random.Random(20261019)
+        for v0 in [rng.uniform(0.002, 0.999) for _ in range(1000)]:
+            p = TrafficParams(v0=v0)
+            cert = exponential_stability_check(p, fixed_point(p))
+            assert cert.stable is True, v0
+            assert 1.0 - v0 <= cert.beta <= 1.0 - v0 + 2.3e-16, v0
 
     def test_v0_certificate_breaks_at_step_one(self):
         # (M, beta) = (1, v0), the certificate once reported for v0 < 1, is

@@ -9,6 +9,7 @@ slowest one-step contraction the orbit shows.
 
 import math
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ fractions = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
 kjs = st.sampled_from((1.0, 0.3, 7.0))
 
 
+@pytest.mark.thorough
 @given(v0s, kjs, fractions)
 def test_certificate_bounds_the_orbit_and_is_sharp(v0, kj, fraction):
     k0 = fraction * kj

@@ -80,6 +80,12 @@ class TestUsageErrors:
             run_cli("orbit", "--v0", "1.0", "--n", "0")
         assert exc.value.code == 2
 
+    def test_nonpositive_jam_density(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("orbit", "--v0", "1", "--kj", "-1")
+        assert exc.value.code == 2
+        assert "must be a positive number, got -1" in capsys.readouterr().err
+
     def test_unsupported_format(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("orbit", "--v0", "1.0", "--format", "svg")
@@ -196,6 +202,17 @@ class TestBifurcationCommand:
         ):
             assert (tmp_path / name).exists()
 
+    def test_escaped_points_warn_and_leave_no_rows(self, tmp_path, capsys):
+        # both orbits underflow to 0 before the kept window
+        code = run_cli(
+            "bifurcation", "--v0-min", "0.0005", "--v0-max", "0.0006", "--steps", "2",
+            "--n", "2000", "--keep", "60", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert capsys.readouterr().err == "warning: 2 grid points escaped (0, 1]\n"
+        header = "v0,sample_index,k,q,v,detected_period\n"
+        assert (tmp_path / "bifurcation.csv").read_text() == header
+
     def test_range_errors_exit_3(self, tmp_path, capsys):
         code = run_cli(
             "bifurcation", "--v0-min", "2.0", "--v0-max", "2.9",
@@ -256,6 +273,18 @@ class TestLyapunovCommand:
         assert code == 0
         doc = json.loads((tmp_path / "lyapunov.json").read_text())
         assert doc["settings"]["n_transient"] == 0
+
+    def test_escaped_points_warn_and_leave_empty_estimates(self, tmp_path, capsys):
+        code = run_cli(
+            "lyapunov", "--v0-min", "0.0005", "--v0-max", "0.0006", "--steps", "2",
+            "--n", "1000", "--transient", "10", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: 2 grid points have no finite estimate (escaped or superstable orbit)\n"
+        )
+        rows = (tmp_path / "lyapunov.csv").read_text().splitlines()[1:]
+        assert rows == ["0.00050000000000000001,,0,0", "0.00059999999999999995,,0,0"]
 
     def test_rejects_a_negative_transient(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -194,6 +194,7 @@ documents = st.recursive(
 )
 
 
+@pytest.mark.thorough
 @given(documents)
 @example([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])  # equal floats that print differently
 @example({"a": [1.0, 1.0], "b": [[1, True, 1.0], [1.0, 1]]})  # equal numbers of three types
@@ -434,6 +435,7 @@ def assert_streams_match(payload, spec):
                 assert memory.getvalue() == render_svg(spec, payload)
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(scans(), st.sampled_from("kqv"), st.sampled_from(["", "scan", "é < ü & 1"]))
 def test_streamed_scan_files_match_in_memory_text(scan, y_field, title):
@@ -481,6 +483,7 @@ def outcome(draw):
         return ZeroDivisionError
 
 
+@pytest.mark.thorough
 @given(
     st.tuples(panel_sizes, panel_sizes, panel_sizes, panel_sizes),
     st.tuples(pixel_numbers, pixel_numbers, pixel_numbers, pixel_numbers),

@@ -13,7 +13,8 @@ straightforward loop over the model formulas (flow, velocity and slope
 each computing their own logarithm, no replay); every float must agree bit
 for bit, which ``float.hex`` makes explicit, and every escape must be
 reported at the same step. The strides are held to the term-by-term sum
-the same way.
+the same way, and an orbit for a power-of-two kj to kj times the orbit for
+kj = 1.
 """
 
 import math
@@ -27,7 +28,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from greenberg_dynamics import dynamics
-from greenberg_dynamics.analysis import bifurcation_scan, detect_period, lyapunov_curve
+from greenberg_dynamics.analysis import (
+    bifurcation_scan,
+    detect_period,
+    lyapunov_curve,
+    lyapunov_exponent,
+)
 from greenberg_dynamics.dynamics import SINGULARITY_FLOOR, _lyapunov_terms, _trajectory, iterate
 from greenberg_dynamics.errors import EscapeError
 from greenberg_dynamics.model import TrafficParams
@@ -140,6 +146,7 @@ def test_trajectory_steps_until_a_cycle_closes(monkeypatch, v0, k0, n, logs):
     assert len(densities) == n + 1 and escaped is None
 
 
+@pytest.mark.thorough
 @given(v0s, kjs, fractions, st.integers(1, 300))
 @example(0.5, 1.0, STEP_ONE_FIXED_K0, 300)  # a fixed point reached at step 1
 @example(2.25, 1.0, 0.35, 66)  # a cycle that closes exactly at step n
@@ -164,6 +171,7 @@ def test_iterate_matches_reference(v0, kj, fraction, n):
 
 # The scan runs at kj = 1 and on v0 <= e only; tails with other kj take the
 # same _trajectory as iterate and are covered above.
+@pytest.mark.thorough
 @given(v0s, fractions, st.integers(2, 400), st.integers(1, 399))
 @example(0.5, STEP_ONE_FIXED_K0, 300, 60)  # a fixed point reached at step 1
 @example(2.25, 0.35, 66, 60)  # a cycle that closes exactly at step n_total
@@ -194,6 +202,41 @@ def test_two_cycle_scan_tail_holds_two_states():
     [tail] = bifurcation_scan(2.25, 2.25, 1, k0=0.35).samples
     assert len(tail) == 60
     assert len({id(s) for s in tail}) == 2
+
+
+def lyapunov_outcome(p, k0):
+    try:
+        return lyapunov_exponent(p, k0, n=1000, n_transient=100).hex()
+    except EscapeError:
+        return EscapeError  # the message names kj
+
+
+# With kj = 2**m, kj / k is the same float for k = kj * k', and every product
+# that carries k is kj times the one that carries k', until a density falls
+# to where scaling it reaches subnormals.
+@pytest.mark.thorough
+@given(
+    st.floats(min_value=0.0, max_value=math.e, exclude_min=True),
+    fractions,
+    st.integers(-30, 30),
+    st.integers(1, 300),
+)
+@example(2.25, 0.35, 30, 300)  # the 2-cycle
+@example(2.585, 0.1, -30, 300)  # chaotic
+@example(math.e, math.exp(-1.0), 5, 300)  # lands on kj at step 1 and escapes to 0
+def test_orbits_scale_exactly_with_a_power_of_two_kj(v0, fraction, m, n):
+    kj = 2.0**m
+    base, scaled = TrafficParams(v0=v0), TrafficParams(v0=v0, kj=kj)
+    # 1100 steps cover the orbit and the exponent's transient and terms; an
+    # escape to 0 from below kj is an underflow
+    densities, escaped_k = _trajectory(fraction, base, 1100)
+    assume(min(densities) >= 1e-280 and (escaped_k != 0.0 or densities[-1] == 1.0))
+    orbit, scaled_orbit = iterate(fraction, base, n), iterate(fraction * kj, scaled, n)
+    assert hexes(s.k for s in scaled_orbit.states) == hexes(kj * s.k for s in orbit.states)
+    assert hexes(s.q for s in scaled_orbit.states) == hexes(kj * s.q for s in orbit.states)
+    assert hexes(s.v for s in scaled_orbit.states) == hexes(s.v for s in orbit.states)
+    assert scaled_orbit.escaped == orbit.escaped
+    assert lyapunov_outcome(scaled, fraction * kj) == lyapunov_outcome(base, fraction)
 
 
 # A v0 whose float orbit from 0.25 ends on a 2-cycle through a point where
@@ -313,6 +356,7 @@ dyadics = st.builds(math.ldexp, st.integers(-(2**12), 2**12), st.integers(-60, 0
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+@pytest.mark.thorough
 @given(
     st.one_of(st.floats(-1e4, 1e4), dyadics, finite),
     st.lists(st.one_of(st.floats(-10.0, 10.0), dyadics, finite), min_size=1, max_size=6),
