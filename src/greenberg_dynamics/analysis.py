@@ -217,9 +217,8 @@ def detect_period(
             f"need at least {2 * max_period} samples for max_period {max_period}, "
             f"got {len(samples)}"
         )
-    n = len(samples)
     for p in range(1, max_period + 1):
-        if all(abs(samples[i + p] - samples[i]) < tolerance for i in range(n - p)):
+        if all(abs(b - a) < tolerance for a, b in zip(samples, samples[p:])):
             return p
     return None
 

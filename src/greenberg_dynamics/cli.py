@@ -295,7 +295,7 @@ def _cmd_bifurcation(args: argparse.Namespace) -> tuple[list[str], dict]:
 def _cmd_lyapunov(args: argparse.Namespace) -> tuple[list[str], dict]:
     settings = _settings(args, "v0_min", "v0_max", "steps", "k0", "n", "n_transient")
     curve = analysis.lyapunov_curve(**settings)
-    missing = sum(1 for lam in curve.lambdas if lam is None)
+    missing = curve.lambdas.count(None)
     if missing:
         print(
             f"warning: {missing} grid points have no finite estimate "

@@ -315,10 +315,7 @@ def sensitivity_experiment(
         raise ArgumentError(f"threshold must be positive, got {threshold}")
     orbit_a = iterate(k0, p, n)
     orbit_b = iterate(k0 + delta, p, n)
-    m = min(len(orbit_a.states), len(orbit_b.states))
-    separation = tuple(
-        abs(orbit_a.states[i].k - orbit_b.states[i].k) for i in range(m)
-    )
+    separation = tuple(abs(a.k - b.k) for a, b in zip(orbit_a.states, orbit_b.states))
     first_divergence_index = next(
         (i for i, s in enumerate(separation) if s > threshold), None
     )

@@ -7,9 +7,10 @@ always produce byte-identical documents.
 
 Each format builds its document as text pieces, and ``_write`` writes every
 document a piece at a time, so a scan's documents never sit whole in
-memory: its CSV is a piece per grid point, its JSON a piece per point's
-array of samples, and its bifurcation plot a piece per column of dots.
-Smaller documents are one piece, one join and one write. The cost of a
+memory: its CSV is its header, then a piece per grid point, its JSON a
+piece per point's array of samples, and its bifurcation plot a piece per
+column of dots. Smaller documents are one piece, one join and one write,
+past a CSV's header, which is always a piece of its own. The cost of a
 document is formatting numbers, and the large documents repeat most of
 theirs: an orbit or a bifurcation point that settles on a cycle repeats the
 cycle's states. ``model._states`` shares one TrafficState among the samples
@@ -213,10 +214,10 @@ def _scan_rows(scan: BifurcationScan) -> Iterator[list[str]]:
 
 def _scan_data(scan: BifurcationScan) -> dict:
     return {
-        "v0": list(scan.v0_grid),
+        "v0": scan.v0_grid,
         "k0": [scan.settings.k0] * len(scan.v0_grid),
-        "detected_period": list(scan.detected_periods),
-        "escaped": list(scan.escaped),
+        "detected_period": scan.detected_periods,
+        "escaped": scan.escaped,
         "k": [[s.k for s in states] for states in scan.samples],
         "q": [[s.q for s in states] for states in scan.samples],
         "v": [[s.v for s in states] for states in scan.samples],
@@ -236,18 +237,17 @@ def _curve_rows(curve: LyapunovCurve) -> list[list[str]]:
 
 def _curve_data(curve: LyapunovCurve) -> dict:
     return {
-        "v0": list(curve.v0_grid),
-        "lambda": list(curve.lambdas),
-        "n_terms": list(curve.n_terms),
-        "skipped_terms": list(curve.skipped_terms),
+        "v0": curve.v0_grid,
+        "lambda": curve.lambdas,
+        "n_terms": curve.n_terms,
+        "skipped_terms": curve.skipped_terms,
     }
 
 
 def _sensitivity_rows(result: SensitivityResult) -> list[list[str]]:
-    a, b = result.orbit_a.states, result.orbit_b.states
+    pairs = zip(result.orbit_a.states, result.orbit_b.states, result.separation)
     return [[
-        "%d,%.17g,%.17g,%.17g\n" % (i, a[i].k, b[i].k, sep)
-        for i, sep in enumerate(result.separation)
+        "%d,%.17g,%.17g,%.17g\n" % (i, a.k, b.k, sep) for i, (a, b, sep) in enumerate(pairs)
     ]]
 
 
@@ -268,7 +268,7 @@ def _sensitivity_data(result: SensitivityResult) -> dict:
     return {
         "k_a": [s.k for s in result.orbit_a.states[:m]],
         "k_b": [s.k for s in result.orbit_b.states[:m]],
-        "separation": list(result.separation),
+        "separation": result.separation,
         "first_divergence_index": result.first_divergence_index,
     }
 
@@ -281,27 +281,15 @@ def _schema_of(payload, what: str) -> _Schema:
 
 
 def write_csv(payload, destination) -> int:
-    """Write one CSV document for the payload; returns the data row count.
+    """Write one CSV document for the payload; returns the byte count.
 
-    The header goes out with the first piece of rows, then each further
-    piece in one write: a scan has one piece per grid point, the other
-    payloads one piece.
+    The header is the first piece, then each piece of rows goes out in one
+    write: a scan has one piece per grid point, the other payloads one piece.
     """
     schema = _schema_of(payload, "CSV")
-    count = 0
-
-    def pieces():
-        nonlocal count
-        head = schema.header + "\n"
-        for rows in schema.rows(payload):
-            yield head + "".join(rows)
-            head = ""
-            count += len(rows)
-        if head:  # a scan with no grid points
-            yield head
-
-    _write(pieces(), destination)
-    return count
+    return _write(
+        chain([schema.header + "\n"], map("".join, schema.rows(payload))), destination
+    )
 
 
 def envelope(kind: str, settings: dict, data: dict) -> dict:
@@ -637,20 +625,19 @@ def _lyapunov_panels(spec: PlotSpec, curve: LyapunovCurve) -> list[_Panel]:
 
 
 def _sensitivity_panels(spec: PlotSpec, result: SensitivityResult) -> list[_Panel]:
-    m = len(result.separation)
-    idx = list(range(m))
-    ka = [result.orbit_a.states[i].k for i in range(m)]
-    kb = [result.orbit_b.states[i].k for i in range(m)]
-    x_lim = _auto_range([0.0, max(m - 1, 1)], pad=0.02)
+    pairs = list(zip(result.orbit_a.states, result.orbit_b.states))
+    ka = [a.k for a, _ in pairs]
+    kb = [b.k for _, b in pairs]
+    x_lim = _auto_range([0.0, max(len(pairs) - 1, 1)], pad=0.02)
     sep_range = _auto_range([0.0, *result.separation, result.threshold])
     p1, p2 = _layout(
         (x_lim, _auto_range([*ka, *kb]), "iteration", "density k"),
         (x_lim, sep_range, "iteration", "separation"),
     )
-    p1.polyline(list(zip(idx, ka)), _CURVE_COLOR, width=1.1)
-    p1.polyline(list(zip(idx, kb)), _PATH_COLOR, width=1.1)
+    p1.polyline(list(enumerate(ka)), _CURVE_COLOR, width=1.1)
+    p1.polyline(list(enumerate(kb)), _PATH_COLOR, width=1.1)
     p2.hline(result.threshold, _GUIDE_COLOR)
-    p2.polyline(list(zip(idx, result.separation)), _MARKER_COLOR, width=1.1)
+    p2.polyline(list(enumerate(result.separation)), _MARKER_COLOR, width=1.1)
     return [p1, p2]
 
 

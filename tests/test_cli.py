@@ -223,14 +223,14 @@ class TestBifurcationCommand:
     def test_a_write_that_fails_part_way_exits_4_and_leaves_no_file(
         self, tmp_path, monkeypatch, capsys
     ):
-        # the disk fills up once the first piece of the scan's CSV is written
+        # the disk fills up once the header and the first grid point's rows are written
         written = []
 
         def open_until_full(*args, **kwargs):
             out = open(*args, **kwargs)
 
             def write(text):
-                if written:
+                if len(written) == 2:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 written.append(text)
                 return type(out).write(out, text)
@@ -247,9 +247,9 @@ class TestBifurcationCommand:
         out, err = capsys.readouterr()
         assert err.startswith("i/o error: ") and "wrote" not in out
         # the header and the 10 rows of the first grid point went out
-        [piece] = written
-        assert piece.startswith("v0,sample_index,k,q,v,detected_period\n2.2000000000000002,")
-        assert piece.count("\n") == 1 + 10
+        header, rows = written
+        assert header == "v0,sample_index,k,q,v,detected_period\n"
+        assert rows.startswith("2.2000000000000002,") and rows.count("\n") == 10
         assert list(tmp_path.iterdir()) == []
 
 

@@ -70,10 +70,10 @@ def diagram():
 class TestWriteCsv:
     def test_orbit_row_count_includes_index_zero(self, orbit, tmp_path):
         path = tmp_path / "orbit.csv"
-        assert write_csv(orbit, path) == 51
+        assert write_csv(orbit, path) == path.stat().st_size
         lines = path.read_text().splitlines()
         assert lines[0] == "i,k,q,v,escaped"
-        assert len(lines) == 52
+        assert len(lines) == 1 + 51
 
     def test_orbit_round_trips_exactly(self, orbit, tmp_path):
         path = tmp_path / "orbit.csv"
@@ -105,10 +105,10 @@ class TestWriteCsv:
 
     def test_scan_rows_are_grid_times_keep(self, scan, tmp_path):
         path = tmp_path / "scan.csv"
-        count = write_csv(scan, path)
-        assert count == sum(len(s) for s in scan.samples) == 4 * 10
+        assert write_csv(scan, path) == path.stat().st_size
         lines = path.read_text().splitlines()
         assert lines[0] == "v0,sample_index,k,q,v,detected_period"
+        assert len(lines) - 1 == sum(len(s) for s in scan.samples) == 4 * 10
 
     def test_aperiodic_marker_is_zero(self, tmp_path):
         chaotic = bifurcation_scan(2.585, 2.585, 1, k0=0.1, n_total=2000, n_keep=200)
@@ -126,7 +126,7 @@ class TestWriteCsv:
             settings=ScanSettings(0.25, 300, 60, 1e-6, 64),
         )
         path = tmp_path / "empty.csv"
-        assert write_csv(empty, path) == 0
+        assert write_csv(empty, path) == path.stat().st_size
         assert path.read_text() == "v0,sample_index,k,q,v,detected_period\n"
 
     def test_curve_blank_lambda_for_missing_points(self, curve, tmp_path):
@@ -139,15 +139,17 @@ class TestWriteCsv:
 
     def test_sensitivity_columns(self, sensitivity, tmp_path):
         path = tmp_path / "sens.csv"
-        count = write_csv(sensitivity, path)
-        assert count == len(sensitivity.separation)
-        header = path.read_text().splitlines()[0]
-        assert header == "i,k_a,k_b,separation"
+        assert write_csv(sensitivity, path) == path.stat().st_size
+        lines = path.read_text().splitlines()
+        assert lines[0] == "i,k_a,k_b,separation"
+        assert len(lines) - 1 == len(sensitivity.separation)
 
     def test_diagram_columns(self, diagram, tmp_path):
         path = tmp_path / "diagram.csv"
-        assert write_csv(diagram, path) == 80
-        assert path.read_text().splitlines()[0] == "k,q,v"
+        assert write_csv(diagram, path) == path.stat().st_size
+        lines = path.read_text().splitlines()
+        assert lines[0] == "k,q,v"
+        assert len(lines) == 1 + 80
 
     def test_accepts_file_objects(self, orbit):
         sink = io.StringIO()

@@ -189,6 +189,7 @@ scalars = st.none() | st.booleans() | st.integers() | finite_floats | texts
 documents = st.recursive(
     scalars,
     lambda children: st.lists(children, max_size=6)
+    | st.lists(children, max_size=6).map(tuple)
     | st.dictionaries(texts, children, max_size=6),
     max_leaves=40,
 )
@@ -427,10 +428,7 @@ def assert_streams_match(payload, spec):
                 continue
             assert write(payload, path) == result, name
             assert path.read_bytes() == memory.getvalue().encode("utf-8"), name
-            if name == "doc.csv":
-                assert result == memory.getvalue().count("\n") - 1
-            else:
-                assert result == path.stat().st_size, name
+            assert result == path.stat().st_size, name
             if name == "doc.svg":
                 assert memory.getvalue() == render_svg(spec, payload)
 
