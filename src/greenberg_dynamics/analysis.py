@@ -240,7 +240,10 @@ def _parameter_grid(v0_min: float, v0_max: float, steps: int) -> list[float]:
     if v0_min == v0_max:
         raise ArgumentError("a multi-point grid needs v0_min < v0_max")
     width = v0_max - v0_min
-    return [v0_min + i * width / (steps - 1) for i in range(steps)]
+    grid = [v0_min + i * width / (steps - 1) for i in range(steps)]
+    # Rounding can carry the last point an ulp past v0_max, and so past e.
+    grid[-1] = min(grid[-1], v0_max)
+    return grid
 
 
 def bifurcation_scan(

@@ -6,22 +6,28 @@ text with no external dependencies, and identical payload + spec pairs
 always produce byte-identical documents.
 
 Each format builds its document as text pieces, and ``_write`` writes every
-document a piece at a time, so a scan's documents never sit whole in
-memory: its CSV is its header, then a piece per grid point, its JSON a
-piece per point's array of samples, and its bifurcation plot a piece per
-column of dots. Smaller documents are one piece, one join and one write,
-past a CSV's header, which is always a piece of its own. The cost of a
-document is formatting numbers, and the large documents repeat most of
-theirs: an orbit or a bifurcation point that settles on a cycle repeats the
-cycle's states. ``model._states`` shares one TrafficState among the samples
-that repeat a density, so the orbit and scan CSVs format one "k,q,v" text
-per distinct state, and each bifurcation column one ``<circle>``, and look
-it up for every repeat (``_state_texts``). The JSON arrays of floats format
-each distinct float once per document (``_Texts``). What remains is one
-%-format per CSV row, with the v0 and period fields of a scan point
-formatted once, one per polyline point and per cobweb dot, each point list
-mapped to pixels in one pass (``_Panel.pixels``), and json's C encoder for
-every other array of numbers.
+document a piece at a time, so beyond the scan itself and the JSON's float
+memo, a scan's documents hold one grid point at a time: its CSV is its
+header, then a piece per grid point, its JSON a piece per point's array of
+samples, each array built only when it is written (``_Lazy``), and its
+bifurcation plot a piece per column of dots, drawn by one generator over
+the scan (``_Panel.columns``). Smaller documents are one piece, one join
+and one write, past a CSV's header, which is always a piece of its own. The
+cost of a document is formatting numbers, and the large documents repeat
+most of theirs: an orbit or a bifurcation point that settles on a cycle
+repeats the cycle's states. ``model._states`` shares one TrafficState among
+the samples that repeat a density, so the orbit and scan CSVs format one
+"k,q,v" text per distinct state, and each bifurcation column one
+``<circle>``, and look it up for every repeat (``_state_texts``). A JSON
+array of floats whose last float recurs in it, as on a tail settled on a
+cycle, looks its texts up in the document's memo (``_Texts``), so each such
+float is formatted once per document, also across grid points, where a
+sink's velocity recurs; any other array, such as a chaotic tail, is
+formatted directly and kept out of the memo. What remains is one %-format
+per CSV row, with the v0 and period fields of a scan point formatted once,
+one per polyline point and per cobweb dot, each point list mapped to pixels
+in one pass (``_Panel.pixels``), and json's C encoder for every other array
+of numbers.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -98,8 +104,9 @@ class _Texts(dict):
 
     Equal floats share a text, except 0.0: it equals -0.0 but prints
     differently, so it is formatted afresh on every use. Only lists of
-    finite floats are looked up, because JSON tells 1 from 1.0 and rejects
-    NaN and infinities.
+    finite floats whose last float recurs in them are looked up, because
+    JSON tells 1 from 1.0 and rejects NaN and infinities, and a list that
+    does not repeat itself, like a chaotic tail, would only fill the memo.
     """
 
     def __missing__(self, x: float) -> str:
@@ -107,6 +114,19 @@ class _Texts(dict):
         if x:
             self[x] = text
         return text
+
+
+class _Lazy:
+    """A JSON array whose element for each item is built when the walker reaches it."""
+
+    def __init__(self, items: Sequence, build: Callable):
+        self.items, self.build = items, build
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self) -> Iterator:
+        return map(self.build, self.items)
 
 
 def _state_texts(states: Sequence[TrafficState], texts: Callable) -> list[str]:
@@ -218,9 +238,9 @@ def _scan_data(scan: BifurcationScan) -> dict:
         "k0": [scan.settings.k0] * len(scan.v0_grid),
         "detected_period": scan.detected_periods,
         "escaped": scan.escaped,
-        "k": [[s.k for s in states] for states in scan.samples],
-        "q": [[s.q for s in states] for states in scan.samples],
-        "v": [[s.v for s in states] for states in scan.samples],
+        "k": _Lazy(scan.samples, lambda states: [s.k for s in states]),
+        "q": _Lazy(scan.samples, lambda states: [s.q for s in states]),
+        "v": _Lazy(scan.samples, lambda states: [s.v for s in states]),
     }
 
 
@@ -336,17 +356,23 @@ def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> Iterator[s
     json ignores its C encoder once ``indent`` is set. Here dicts (with str
     keys) and lists holding anything but numbers, bools and None are walked
     in Python, and the text is joined once per piece, not copied at every
-    level. A list of such containers, like the sample arrays of a scan's
-    grid points, yields the parts held so far as one piece after each
-    element, so a document is a piece per element, and one piece if it has
-    no such list. The element types of a list are read once, in C. A list
-    of finite floats joins their texts from ``floats``, the document's memo,
-    so each distinct float is formatted once. Any other list of numbers, bools and None goes
-    to the C encoder in one call (``_dumps``), which rejects NaN and
-    infinities; with no string inside, every ", " in its text is a
-    separator and becomes the indented line break.
+    level. A list of such containers, and a ``_Lazy`` array, like the
+    sample arrays of a scan's grid points, yields the parts held so far as
+    one piece after each element, so a document is a piece per element, and
+    one piece if it has no such list. The element types of a list are read
+    once, in C; a ``_Lazy`` array is not read ahead, so each element is
+    built only when it is walked. A list of finite floats joins their
+    texts: if its last float recurs in it, as on a tail settled on a cycle,
+    from ``floats``, the document's memo, so each distinct float of such
+    lists is formatted once per document, and otherwise each formatted
+    directly. On the default scan that test picks all but one of the lists
+    that repeat a float, at a fifth of the cost of a set of each list. Any
+    other list of numbers, bools and None goes to the C encoder in one call
+    (``_dumps``), which rejects NaN and infinities; with no string inside,
+    every ", " in its text is a separator and becomes the indented line
+    break.
     """
-    if not isinstance(obj, (dict, list, tuple)):
+    if not isinstance(obj, (dict, list, tuple, _Lazy)):
         parts.append(_dumps(obj))
         return
     if not obj:
@@ -363,9 +389,10 @@ def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> Iterator[s
         parts.append("\n" + "  " * depth + "}")
         return
     parts.append("[")
-    kinds = set(map(type, obj))
+    kinds = {_Lazy} if isinstance(obj, _Lazy) else set(map(type, obj))
     if kinds == {float} and all(map(math.isfinite, obj)):
-        parts += (inner, ("," + inner).join(map(floats.__getitem__, obj)))
+        text = floats.__getitem__ if obj[-1] in obj[:-1] else float.__repr__
+        parts += (inner, ("," + inner).join(map(text, obj)))
     elif kinds <= _JSON_SCALARS:
         parts += (inner, _dumps(obj)[1:-1].replace(", ", "," + inner))
     else:
@@ -419,9 +446,9 @@ class _Panel:
         self.y0, self.y1 = y_lim
         self.x_label, self.y_label = x_label, y_label
         self.clip_id = clip_id
-        # Each element is a line, or a callable that draws a piece of lines
+        # Each element is a line, or a callable that draws pieces of lines
         # when the document is written (``write_svg``).
-        self.elements: list[str | Callable[[], list[str]]] = []
+        self.elements: list[str | Callable[[], Iterator[list[str]]]] = []
 
     def px(self, v: float) -> float:
         return self.left + (v - self.x0) / (self.x1 - self.x0) * self.width
@@ -451,23 +478,35 @@ class _Panel:
         dot = '<circle cx="%%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (radius, color)
         self.elements += map(dot.__mod__, self.pixels(points))
 
-    def column(self, x, states, ordinate, color, radius):
-        """Dots at the abscissa x, one per state, formatted once per distinct state.
+    def columns(self, xs, samples, ordinate, color, radius):
+        """A column of dots at each abscissa, one per state, formatted once per distinct state.
 
-        The dots are one piece of the document, drawn when it is written.
-        The piece keeps the pixel of x and the mapping of y, bit for bit
-        what px and py give, but not the panel, which keeps the piece: that
-        cycle would keep the scan alive until the garbage collector ran.
+        The columns are one drawing, which yields a piece of the document
+        per non-empty column when the document is written. The drawing keeps
+        the mapping of x and y, bit for bit what px and py give, but not the
+        panel, which keeps the drawing: that cycle would keep the scan alive
+        until the garbage collector ran. With no state to draw, the panel is
+        left empty.
         """
-        if not states:
+        if not any(samples):
             return
+        left, x0, dx, width = self.left, self.x0, self.x1 - self.x0, self.width
         bottom, y0, dy, height = self.top + self.height, self.y0, self.y1 - self.y0, self.height
-        dot = '<circle cx="%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (self.px(x), radius, color)
+        dot = '<circle cx="%%.2f" cy="%%%%.2f" r="%s" fill="%s"/>' % (radius, color)
 
-        def circles(distinct):
-            return [dot % (bottom - (y - y0) / dy * height) for y in map(ordinate, distinct)]
+        def draw() -> Iterator[list[str]]:
+            for x, states in zip(xs, samples):
+                if not states:
+                    continue
+                column = dot % (left + (x - x0) / dx * width)
 
-        self.elements.append(lambda: _state_texts(states, circles))
+                def circles(distinct):
+                    ys = map(ordinate, distinct)
+                    return [column % (bottom - (y - y0) / dy * height) for y in ys]
+
+                yield _state_texts(states, circles)
+
+        self.elements.append(draw)
 
     def hline(self, y, color):
         if self.y0 <= y <= self.y1:
@@ -597,12 +636,20 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     if spec.y_field not in ("k", "q", "v"):
         raise SpecError(f"bifurcation y_field must be k, q or v, got {spec.y_field!r}")
     ordinate = attrgetter(spec.y_field)
+
+    def extremes():
+        # the range needs only the least and the greatest finite ordinate
+        for states in scan.samples:
+            finite = list(filter(math.isfinite, map(ordinate, states)))
+            if finite:
+                yield min(finite)
+                yield max(finite)
+
     x_lim = _auto_range(list(scan.v0_grid), pad=0.02)
-    y_lim = _auto_range(list(map(ordinate, chain.from_iterable(scan.samples))))
+    y_lim = _auto_range(list(extremes()))
     [panel] = _layout((x_lim, y_lim, "optimum velocity v0", spec.y_field))
     panel.vline(2.0, _PATH_COLOR)
-    for v0, states in zip(scan.v0_grid, scan.samples):
-        panel.column(v0, states, ordinate, _CURVE_COLOR, radius=0.7)
+    panel.columns(scan.v0_grid, scan.samples, ordinate, _CURVE_COLOR, radius=0.7)
     return [panel]
 
 
@@ -669,7 +716,7 @@ def write_svg(spec: PlotSpec, payload, destination) -> int:
     """Write the payload as a standalone SVG document; returns the byte count.
 
     The payload type picks the plot. Each callable among the lines draws
-    its own piece as it is written, and each run of lines between them is
+    its own pieces as it is written, and each run of lines between them is
     one piece: a bifurcation plot goes out a column of dots at a time, any
     other plot in one join and one write.
     """
@@ -694,7 +741,7 @@ def write_svg(spec: PlotSpec, payload, destination) -> int:
     pieces = (
         "\n".join([*piece, ""])
         for deferred, run in groupby(lines, callable)
-        for piece in ((draw() for draw in run) if deferred else [run])
+        for piece in (chain.from_iterable(draw() for draw in run) if deferred else [run])
     )
     return _write(pieces, destination)
 

@@ -4,12 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from greenberg_dynamics.analysis import (
     CENTER,
     DEGENERATE,
     SINK,
     SOURCE,
+    _parameter_grid,
     bifurcation_scan,
     classify_fixed_point,
     detect_period,
@@ -161,6 +164,22 @@ class TestDetectPeriod:
             detect_period([0.1] * 20, 0.0, 4)
         with pytest.raises(ArgumentError):
             detect_period([0.1] * 20, 1e-6, 0)
+
+
+v0_ends = st.floats(0.001, math.e) | st.sampled_from([0.05, 2.7, math.e])
+
+
+@pytest.mark.thorough
+@given(v0_ends, v0_ends, st.integers(2, 3000))
+@example(0.05, math.e, 28)  # the unclamped last point is e plus an ulp
+@example(0.05, 2.7, 8)  # ... and here 2.7 plus an ulp
+def test_parameter_grid_rises_from_v0_min_and_never_exceeds_v0_max(a, b, steps):
+    v0_min, v0_max = sorted((a, b))
+    # points more than two ulps apart cannot round onto each other
+    assume((v0_max - v0_min) / (steps - 1) > 2 * math.ulp(v0_max))
+    grid = _parameter_grid(v0_min, v0_max, steps)
+    assert len(grid) == steps and grid[0] == v0_min and grid[-1] <= v0_max
+    assert all(x < y for x, y in zip(grid, grid[1:]))
 
 
 class TestBifurcationScan:

@@ -357,10 +357,11 @@ class TestStreamingMemory:
 
     Each bound is 1.5 times the tracemalloc peak, in MiB, of writing that
     document of the default 1000-point scan to a file on CPython 3.11:
-    0.036 (CSV), 4.90 (JSON) and 0.955 (each SVG); 3.10, 3.12 and 3.13 read
-    within 10 % of these. Building each document whole before writing it
-    peaked at 16.6, 11.7 and 6.5 MiB. What remains of the JSON peak is the
-    scan's data arrays and the memo of float texts, not the text.
+    0.027 (CSV), 0.41 (JSON) and 0.040 (each SVG); 3.10, 3.12 and 3.13 read
+    within 16 % of these. Building each document whole before writing it
+    peaked at 16.6, 11.7 and 6.5 MiB. The JSON peak is the memo of the
+    floats of arrays whose last float recurs; the arrays themselves are
+    built one grid point at a time, as each plot's columns are drawn.
     """
 
     @pytest.fixture(scope="class")
@@ -370,10 +371,10 @@ class TestStreamingMemory:
     @pytest.mark.parametrize(
         "name, write, bound",
         [
-            ("scan.csv", write_csv, 0.054),
-            ("scan.json", write_json, 7.35),
-            ("scan_k.svg", functools.partial(write_svg, PlotSpec(y_field="k")), 1.43),
-            ("scan_v.svg", functools.partial(write_svg, PlotSpec(y_field="v")), 1.43),
+            ("scan.csv", write_csv, 0.041),
+            ("scan.json", write_json, 0.61),
+            ("scan_k.svg", functools.partial(write_svg, PlotSpec(y_field="k")), 0.060),
+            ("scan_v.svg", functools.partial(write_svg, PlotSpec(y_field="v")), 0.060),
         ],
         ids=["csv", "json", "svg_k", "svg_v"],
     )

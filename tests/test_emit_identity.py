@@ -2,10 +2,12 @@
 
 The emitters build each CSV row and each SVG dot with one %-format, encode
 JSON arrays of numbers with json's C encoder, format each distinct float of
-a JSON array once per document, format the CSV fields and the bifurcation
-dot of each distinct state object once, and map a whole point list to
-pixels in one pass. The references below are the
-straightforward builders they replaced: ``json.dumps(indent=2)``, one
+the JSON arrays whose last float recurs once per document and the floats of
+any other array directly, build a scan's JSON arrays and plot columns one
+grid point at a time, format the CSV fields and the bifurcation dot of each
+distinct state object once, and map a whole point list to pixels in one
+pass. The references below are the straightforward builders they replaced:
+``json.dumps(indent=2)``, with each lazily built array as a list, one
 f-string with ``format(x, ".17g")`` per CSV row, one f-string per
 bifurcation dot from a flat (v0, y) point list, and one f-string per
 polyline point and per dot, each with the panel's pixel mapping written
@@ -186,21 +188,43 @@ edge_floats = st.sampled_from(
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
 texts = st.text(max_size=8) | st.sampled_from(["a, b", ", ", "[1, 2]", "é, ü", "  \x00"])
 scalars = st.none() | st.booleans() | st.integers() | finite_floats | texts
+# A list of floats whose last float recurs in it goes through the document's
+# memo, any other is formatted directly; 0.0 and -0.0 are equal, so either
+# recurs as the other.
+unrepeated_floats = st.lists(finite_floats, unique=True, max_size=8)
+repeated_floats = st.lists(
+    finite_floats | st.sampled_from([0.0, -0.0]), min_size=1, max_size=4
+).map(lambda floats: floats + floats[::-1])
+
+
+def lazy(items):
+    """The items as a JSON array built an element at a time, as a scan's sample arrays are."""
+    return emit._Lazy(items, lambda item: item)
+
+
 documents = st.recursive(
-    scalars,
+    scalars | unrepeated_floats | repeated_floats,
     lambda children: st.lists(children, max_size=6)
     | st.lists(children, max_size=6).map(tuple)
+    | st.lists(children, max_size=6).map(lazy)
     | st.dictionaries(texts, children, max_size=6),
     max_leaves=40,
 )
+
+
+def dumps(doc):
+    """The reference text: json's, with each lazy array materialized as a list."""
+    return json.dumps(doc, indent=2, allow_nan=False, default=list)
 
 
 @pytest.mark.thorough
 @given(documents)
 @example([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])  # equal floats that print differently
 @example({"a": [1.0, 1.0], "b": [[1, True, 1.0], [1.0, 1]]})  # equal numbers of three types
+@example([[0.25, 0.25], [0.5, 0.25], [0.5, -0.0, 0.0]])  # floats shared with the memo
+@example(lazy([]))  # a lazy array with no element
 def test_json_text_matches_indented_dumps(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+    assert json_text(doc) == dumps(doc)
 
 
 @given(
@@ -219,7 +243,7 @@ def test_json_text_matches_indented_dumps(doc):
 def test_json_text_rejects_non_finite_floats(doc, bad, place):
     wrapped = place(doc, bad)
     with pytest.raises(ValueError):
-        json.dumps(wrapped, indent=2, allow_nan=False)
+        dumps(wrapped)
     with pytest.raises(ValueError):
         json_text(wrapped)
 
@@ -273,6 +297,8 @@ def test_scan_csv_matches_reference(scan):
 
 @settings(max_examples=60, deadline=None)
 @given(scans(), st.sampled_from("kqv"))
+# every column is empty: the clip group still holds its empty line
+@example(bifurcation_scan(math.e, math.e, 1, k0=INV_E, n_total=3, n_keep=2), "k")
 def test_bifurcation_svg_matches_reference(scan, y_field):
     spec = PlotSpec(y_field=y_field)
     assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
@@ -396,7 +422,7 @@ def test_every_payload_json_matches_indented_dumps():
     ]:
         out = io.StringIO()
         count = write_json(payload, out)
-        expected = json.dumps(emit._document(payload), indent=2, allow_nan=False) + "\n"
+        expected = dumps(emit._document(payload)) + "\n"
         assert out.getvalue() == expected
         assert count == len(expected.encode("utf-8"))
 
