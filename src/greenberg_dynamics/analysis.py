@@ -67,13 +67,18 @@ class ScanSettings:
 
 @dataclass(frozen=True)
 class BifurcationScan:
-    """Post-transient attractor samples and detected periods over a v0 grid."""
+    """Attractor samples, detected periods and laps (``Orbit.lap``) over a v0 grid.
+
+    A lap counts from its point's first kept sample. A scan built by hand
+    may leave ``laps`` empty; each sample is then emitted on its own.
+    """
 
     v0_grid: tuple[float, ...]
     samples: tuple[tuple[TrafficState, ...], ...]
     detected_periods: tuple[int | None, ...]
     escaped: tuple[bool, ...]
     settings: ScanSettings
+    laps: tuple[tuple[int, int] | None, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,7 @@ def exponential_stability_check(p: TrafficParams, k0: float) -> StabilityCertifi
     step 1 (k0 = kj does), when beta rounds to 1 (k0 or k1 within about
     1e-16 * k* of 0), or when exp(-1/v0) underflows (v0 below about 1/745).
     """
-    densities, escaped = _trajectory(k0, p, 1)
+    densities, escaped, _ = _trajectory(k0, p, 1)
     if p.v0 == 0.0:
         return StabilityCertificate(stable=True, m=1.0, beta=0.0)
     if p.v0 >= 1.0 or escaped is not None:
@@ -272,19 +277,21 @@ def bifurcation_scan(
     first = n_total - n_keep + 1
     cap = min(DEFAULT_MAX_PERIOD, n_keep // 2)
 
-    def scan_point(v0: float) -> tuple[tuple[TrafficState, ...], int | None, bool]:
+    def scan_point(v0: float):
         p = TrafficParams(v0=v0)
-        densities, escaped = _trajectory(k0, p, n_total)
+        densities, escaped, lap = _trajectory(k0, p, n_total)
         tail = densities[first:]
         period = detect_period(tail, tolerance, cap) if escaped is None and cap >= 1 else None
-        return _states(tail, p), period, escaped is not None
+        lap = lap and (max(lap[0] - first, 0), lap[1])
+        return _states(tail, p, lap), period, escaped is not None, lap
 
-    samples, periods, escaped = zip(*map(scan_point, grid))
+    samples, periods, escaped, laps = zip(*map(scan_point, grid))
     return BifurcationScan(
         v0_grid=tuple(grid),
         samples=samples,
         detected_periods=periods,
         escaped=escaped,
+        laps=laps,
         settings=ScanSettings(
             k0=k0,
             n_total=n_total,

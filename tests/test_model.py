@@ -216,14 +216,20 @@ class TestStateOfDensity:
     st.floats(min_value=0.0, max_value=1e308),
     st.sampled_from((1.0, 0.3, 7.0, 1e308)),
     st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), max_size=12),
+    st.data(),
 )
-def test_batch_states_are_state_of_density_bit_for_bit(v0, kj, fractions):
+def test_batch_states_are_state_of_density_bit_for_bit(v0, kj, fractions, data):
     p = TrafficParams(v0=v0, kj=kj)
-    densities = [f * kj for f in fractions if f * kj > 0.0] + [kj]
-    densities += densities[::2]  # recurring densities share one state
-    states = _states(densities, p)
+    head = [f * kj for f in fractions if f * kj > 0.0] + [kj]
+    start = data.draw(st.integers(0, len(head) - 1))
+    # the densities from start on repeat, a lap of len(head) - start at a time
+    densities = head + (head[start:] * 3)[: data.draw(st.integers(0, 30))]
     expected = [state_of_density(k, p) for k in densities]
-    assert [(s.k.hex(), s.q.hex(), s.v.hex()) for s in states] == [
-        (e.k.hex(), e.q.hex(), e.v.hex()) for e in expected
-    ]
-    assert len({id(s) for s in states}) == len(set(densities))
+    # without a lap every density gets a state of its own; with one, the
+    # states up to the end of the first lap are built and repeated after it
+    for lap, built in [(None, len(densities)), ((start, len(head) - start), len(head))]:
+        states = _states(densities, p, lap)
+        assert [(s.k.hex(), s.q.hex(), s.v.hex()) for s in states] == [
+            (e.k.hex(), e.q.hex(), e.v.hex()) for e in expected
+        ]
+        assert len({id(s) for s in states}) == built
