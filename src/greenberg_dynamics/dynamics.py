@@ -13,15 +13,16 @@ map step of the package is taken here, by one of three loops:
   term ln|f'| and the step, because the Lyapunov sweep reads each of its
   11 000 points per grid value only once.
 
-Each loop compares each density with one saved on the schedule of
-``_cycle_block``. Once the float orbit returns to a saved density exactly,
-it is periodic from there on, because the step is a pure function of k,
-and it cannot escape, because every point of the cycle was already checked.
-Then ``_trajectory`` repeats the cycle's densities, the transient skips
-whole cycles, and the averaging loop hands the rest of its sum to
+``_trajectory`` looks each density up among those it keeps; the Lyapunov
+loops keep none and compare each with one saved on the schedule of
+``_cycle_block``. Once the float orbit repeats a density exactly, it is
+periodic from there on, because the step is a pure function of k, and it
+cannot escape, because every point of the cycle was already checked. Then
+``_trajectory`` repeats the cycle's densities, the transient skips whole
+cycles, and the averaging loop hands the rest of its sum to
 ``_replay_cycle``, which takes the terms of one lap of ``_trajectory`` and
-adds whole laps by exact strides, bit for bit the term-by-term sum.
-The cycle's lap is part of the result of ``_trajectory`` and ``Orbit``, and
+adds whole laps by exact strides, bit for bit the term-by-term sum. The
+cycle's lap is part of the result of ``_trajectory`` and ``Orbit``, and
 ``model._states`` and the emitters build and format one lap and repeat it,
 with no state shared by identity and no text memoized.
 """
@@ -46,9 +47,9 @@ DEFAULT_SENSITIVITY_THRESHOLD = 0.1
 # land on the map maximum kj/e where f' = 0, so they are skipped and counted.
 SINGULARITY_FLOOR = 1e-300
 
-# The map loops save the density at step 0, 1, 2, 4, ... up to this many
-# and then every this many steps; a cycle is found once a save falls on it
-# and its length fits before the next save.
+# The Lyapunov loops, which keep no densities, save the density at step 0,
+# 1, 2, 4, ... up to this many and then every this many steps; a cycle is
+# found once a save falls on it and its length fits before the next save.
 _CYCLE_BLOCK = 256
 
 
@@ -59,7 +60,8 @@ class Orbit:
     ``states`` holds only in-domain states (length n+1 when nothing escapes).
     When an iterate leaves (0, kj], ``escaped`` is the index that iterate
     would have had and the orbit is truncated just before it. ``lap`` is the
-    float cycle ``_trajectory`` closed, (start, length), or None.
+    float cycle ``_trajectory`` closed, (start, length), or None exactly when
+    no kept density repeats.
     """
 
     params: TrafficParams
@@ -97,31 +99,27 @@ def _trajectory(
 
     Returns the in-domain densities k_0, k_1, ..., the first successor that
     left (0, kj] or None, and the lap or None. On escape the densities stop
-    just before the escaped iterate, whose index is their length. Once a
-    density equals the last saved one, the rest repeats the cycle between
-    them, each float the one stepping would give, and the lap is (start,
-    length), each the least with k_i == k_(i - length) for i >= start + length.
+    just before the escaped iterate, whose index is their length. The first
+    density equal to an earlier k_start closes the lap (start, length): the
+    rest repeats the cycle between them, each float the one stepping would
+    give. Every density before it is distinct, so start and length are each
+    the least with k_i == k_(i - length) for i >= start + length. The lap is
+    None exactly when no kept density repeats.
     """
     if not (0.0 < k <= p.kj):
         raise DomainError(f"density must lie in (0, {p.kj}], got {k}")
     v0, kj, log = p.v0, p.kj, math.log
     densities = [k]
-    start = 0
-    while start < n:
-        saved = k
-        stop = min(start + _cycle_block(start), n)
-        for index in range(start + 1, stop + 1):
-            k = v0 * k * log(kj / k)
-            if not (0.0 < k <= kj):
-                return densities, k, None
-            densities.append(k)
-            if k == saved:
-                densities += islice(cycle(densities[start + 1:]), n - index)
-                length = index - start
-                while start and densities[start - 1] == densities[start - 1 + length]:
-                    start -= 1
-                return densities, None, (start, length)
-        start = stop
+    seen = {k: 0}
+    for index in range(1, n + 1):
+        k = v0 * k * log(kj / k)
+        if not (0.0 < k <= kj):
+            return densities, k, None
+        densities.append(k)
+        start = seen.setdefault(k, index)
+        if start < index:
+            densities += islice(cycle(densities[start + 1:]), n - index)
+            return densities, None, (start, index - start)
     return densities, None, None
 
 

@@ -124,16 +124,16 @@ def count_logs(monkeypatch):
 STEP_ONE_FIXED_K0 = 0.666059855098374
 
 # (v0, k0, n, logarithms): _trajectory takes one ln(kj / k) per step until a
-# density equals the one saved at step 0, 1, 2, 4, ..., and repeats the
-# cycle from there. The 2-cycle from 0.35 first repeats at step 37 and is
-# found at step 66, against the save at 64; the 16-point float cycle of the
-# 8-cycle at v0 = 2.48 first repeats at step 147 and is found at step 272,
-# against the save at 256. Chaos takes one logarithm per step, n in all.
+# density equals one it already holds, and repeats the cycle from there. The
+# 2-cycle from 0.35 first repeats at step 37, and the 16-point float cycle
+# of the 8-cycle at v0 = 2.48 at step 147, whether n is 200 or 300. Chaos
+# takes one logarithm per step, n in all.
 TRAJECTORY_PINS = [
     (0.5, STEP_ONE_FIXED_K0, 300, 2),
-    (2.25, 0.35, 66, 66),  # the cycle closes exactly at step n
-    (2.25, 0.35, 300, 66),
-    (2.48, 0.23, 300, 272),
+    (2.25, 0.35, 37, 37),  # the cycle closes exactly at step n
+    (2.25, 0.35, 300, 37),
+    (2.48, 0.23, 200, 147),
+    (2.48, 0.23, 300, 147),
     (2.585, 0.1, 300, 300),
 ]
 # The lap of each pinned orbit, by v0: it starts a lap before the step where
@@ -154,7 +154,7 @@ def test_trajectory_steps_until_a_cycle_closes(monkeypatch, v0, k0, n, logs):
 @pytest.mark.thorough
 @given(v0s, kjs, fractions, st.integers(1, 300))
 @example(0.5, 1.0, STEP_ONE_FIXED_K0, 300)  # a fixed point reached at step 1
-@example(2.25, 1.0, 0.35, 66)  # a cycle that closes exactly at step n
+@example(2.25, 1.0, 0.35, 37)  # a cycle that closes exactly at step n
 @example(2.25, 1.0, 0.35, 300)  # the 2-cycle
 @example(2.48, 1.0, 0.23, 300)  # a 16-point float cycle of the 8-cycle
 @example(2.585, 1.0, 0.1, 300)  # chaotic: never repeats
@@ -180,7 +180,7 @@ def test_iterate_matches_reference(v0, kj, fraction, n):
 @pytest.mark.thorough
 @given(v0s, fractions, st.integers(2, 400), st.integers(1, 399))
 @example(0.5, STEP_ONE_FIXED_K0, 300, 60)  # a fixed point reached at step 1
-@example(2.25, 0.35, 66, 60)  # a cycle that closes exactly at step n_total
+@example(2.25, 0.35, 37, 30)  # a cycle that closes exactly at step n_total
 @example(2.25, 0.35, 300, 60)  # the 2-cycle
 @example(2.48, 0.23, 300, 60)  # a 16-point float cycle of the 8-cycle
 @example(2.585, 0.1, 300, 60)  # chaotic: never repeats
@@ -222,28 +222,43 @@ def reuses_lap(states, lap):
 @pytest.mark.thorough
 @given(v0s, kjs, fractions, st.integers(1, 400), st.integers(1, 399))
 @example(2.48, 1.0, 0.23, 300, 60)  # a 16-point float cycle of the 8-cycle
+@example(2.48, 1.0, 0.23, 200, 60)  # the same cycle, first repeated at step 147
 @example(2.4114112283463918, 1.0, 0.4190380832535111, 300, 60)  # lap (8, 4) of the tail
-@example(2.25, 1.0, 0.35, 66, 60)  # a cycle that closes exactly at step n
+@example(2.5356805346025695, 1.0, 0.1518156773639057, 300, 60)  # lap (52, 6) of the tail
+@example(2.25, 1.0, 0.35, 37, 30)  # a cycle that closes exactly at step n
 @example(2.585, 1.0, 0.1, 300, 60)  # chaotic: no lap
 def test_trajectory_lap_is_exact_and_least(v0, kj, fraction, n, n_keep):
+    # the first repeat closes the lap: every density before it is distinct,
+    # so no shorter length and no earlier start fits
     p, k0 = params_and_k0(v0, kj, fraction)
     densities, escaped_k, lap = _trajectory(k0, p, n)
     orbit = iterate(k0, p, n)
     assert orbit.lap == lap
     if lap is None:
-        return
-    start, length = lap
-    assert escaped_k is None and start + length <= n
-    assert fits(densities, start, length)
-    assert not any(fits(densities, start, shorter) for shorter in range(1, length))
-    assert start == 0 or not fits(densities, start - 1, length)
-    assert reuses_lap(orbit.states, lap)
+        assert len(set(densities)) == len(densities)
+    else:
+        start, length = lap
+        assert escaped_k is None and start + length <= n
+        assert len(set(densities[:start + length])) == start + length
+        assert fits(densities, start, length)
+        assert reuses_lap(orbit.states, lap)
     if kj == 1.0 and v0 <= math.e and n_keep < n:
         scan = bifurcation_scan(v0, v0, 1, k0=k0, n_total=n, n_keep=n_keep)
         first = n - n_keep + 1
         [tail], [tail_lap] = scan.samples, scan.laps
-        assert tail_lap == (max(start - first, 0), length)
-        assert reuses_lap(tail, tail_lap)
+        assert tail_lap == (None if lap is None else (max(start - first, 0), length))
+        assert tail_lap is None or reuses_lap(tail, tail_lap)
+
+
+def test_default_scan_carries_a_lap_for_every_point_that_repeats():
+    # 818 of the 1000 default points repeat a density within their 300 steps
+    scan = bifurcation_scan(0.05, 2.7, 1000)
+    repeats = []
+    for v0 in scan.v0_grid:
+        ks = ref_orbit(scan.settings.k0, TrafficParams(v0=v0), scan.settings.n_total)[0]
+        repeats.append(len(set(ks)) < len(ks))
+    assert sum(repeats) == 818
+    assert [lap is not None for lap in scan.laps] == repeats
 
 
 def test_two_cycle_scan_tail_holds_two_states():
