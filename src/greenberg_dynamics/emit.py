@@ -13,14 +13,18 @@ when it is written (``_Lazy``), and its bifurcation plot a piece per column
 of dots, drawn by one generator over the scan (``_Panel.columns``). Smaller
 documents are one piece, one join and one write, past a CSV's header, which
 is always a piece of its own. The cost of a document is formatting numbers.
-An orbit's or scan point's CSV fields, dots and JSON floats (``_Values``)
-are formatted up to the end of the lap its result carries (``Orbit.lap``,
+An orbit's or scan point's CSV fields, dots and JSON floats, a cobweb's
+staircase and marker dots, and a sensitivity run's CSV fields are formatted
+up to the end of the lap their result carries (``Orbit.lap``,
 ``BifurcationScan.laps``) and repeated, not looked up by identity or
-memoized; with no lap, each sample is formatted. What remains is one
-%-format per CSV row, with the v0 and period fields of a scan point
-formatted once, one per polyline point and per cobweb dot, each point list
-mapped to pixels in one pass (``_Panel.pixels``), and json's C encoder for
-every other array of numbers.
+memoized; a list carries its lap as a ``_Values``. The staircase's lap is
+(2 * start + 1, 2 * length), and the separation's is the joint lap of both
+orbits (``_separation_lap``). With no lap, each sample is formatted. What
+remains is one %-format per CSV row, with the v0 and period fields of a scan
+point formatted once, one per point of every other polyline (the diagram
+curves and the traces against v0 or the iteration), each point list mapped
+to pixels in one pass (``_Panel.pixels``), and json's C encoder for every
+other array of numbers.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -106,7 +110,10 @@ class _Lazy:
 
 
 class _Values(list):
-    """A JSON array with the lap its values repeat, (start, length) as in ``Orbit.lap``, or None."""
+    """A list with the lap its items repeat, (start, length) as in ``Orbit.lap``, or None.
+
+    It is a JSON array of numbers or a panel's list of points.
+    """
 
     __slots__ = ("lap",)
 
@@ -228,11 +235,18 @@ def _curve_data(curve: LyapunovCurve) -> dict:
     }
 
 
+def _separation_lap(result: SensitivityResult) -> tuple[int, int] | None:
+    """The separation's lap, or None: past both starts it repeats every lcm of the lengths."""
+    a, b = result.orbit_a.lap, result.orbit_b.lap
+    return a and b and (max(a[0], b[0]), math.lcm(a[1], b[1]))
+
+
 def _sensitivity_rows(result: SensitivityResult) -> list[list[str]]:
-    pairs = zip(result.orbit_a.states, result.orbit_b.states, result.separation)
-    return [[
-        "%d,%.17g,%.17g,%.17g\n" % (i, a.k, b.k, sep) for i, (a, b, sep) in enumerate(pairs)
-    ]]
+    a, b, k = result.orbit_a.states, result.orbit_b.states, attrgetter("k")
+    triples = list(zip(map(k, a), map(k, b), result.separation))
+    fmt = "%.17g,%.17g,%.17g".__mod__
+    fields = _repeat_lap(lambda head: list(map(fmt, head)), triples, _separation_lap(result))
+    return [list(map("%d,%s\n".__mod__, enumerate(fields)))]
 
 
 def _sensitivity_settings(result: SensitivityResult) -> dict:
@@ -249,12 +263,10 @@ def _sensitivity_settings(result: SensitivityResult) -> dict:
 
 def _sensitivity_data(result: SensitivityResult) -> dict:
     a, b, m = result.orbit_a, result.orbit_b, len(result.separation)
-    # Once both orbits are on their laps, the separation repeats every common multiple.
-    lap = a.lap and b.lap and (max(a.lap[0], b.lap[0]), math.lcm(a.lap[1], b.lap[1]))
     return {
         "k_a": _Values([s.k for s in a.states[:m]], a.lap),
         "k_b": _Values([s.k for s in b.states[:m]], b.lap),
-        "separation": _Values(result.separation, lap),
+        "separation": _Values(result.separation, _separation_lap(result)),
         "first_divergence_index": result.first_divergence_index,
     }
 
@@ -392,7 +404,7 @@ def _line(x1, y1, x2, y2, style: str) -> str:
 
 
 def _auto_range(values: Sequence[float], pad: float = 0.05) -> tuple[float, float]:
-    finite = [v for v in values if math.isfinite(v)]
+    finite = list(filter(math.isfinite, values))
     if not finite:
         return (0.0, 1.0)
     lo, hi = min(finite), max(finite)
@@ -428,10 +440,15 @@ class _Panel:
             (left + (x - x0) / dx * width, bottom - (y - y0) / dy * height) for x, y in points
         ]
 
+    def texts(self, fmt: str, points) -> Iterable[str]:
+        """fmt % (x, y) of each point's pixel, built up to the end of a ``_Values`` lap."""
+        lap = getattr(points, "lap", None)
+        return _repeat_lap(lambda head: list(map(fmt.__mod__, self.pixels(head))), points, lap)
+
     def polyline(self, points, color, width=1.3, dash=None):
         if len(points) < 2:
             return
-        coords = " ".join(map("%.2f,%.2f".__mod__, self.pixels(points)))
+        coords = " ".join(self.texts("%.2f,%.2f", points))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -440,7 +457,7 @@ class _Panel:
 
     def dots(self, points, color, radius=2.0):
         dot = '<circle cx="%%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (radius, color)
-        self.elements += map(dot.__mod__, self.pixels(points))
+        self.elements += self.texts(dot, points)
 
     def columns(self, xs, samples, laps, ordinate, color, radius):
         """A column of dots at each abscissa, one per state, formatted up to the end of its lap.
@@ -570,7 +587,10 @@ def _diagram_panels(spec: PlotSpec, payload: DiagramPayload) -> list[_Panel]:
 def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
     p = orbit.params
     curve = diagram_samples(p, 256)
-    path = cobweb_path(orbit) if len(orbit.states) >= 2 else []
+    lap = orbit.lap
+    # Vertices 2i + 1 and 2i + 2 of the staircase come from state i.
+    path_lap = lap and (2 * lap[0] + 1, 2 * lap[1])
+    path = _Values(cobweb_path(orbit) if len(orbit.states) >= 2 else [], path_lap)
     curve_qs = [s.q for s in curve]
     x_k = _auto_range([0.0, p.kj])
     flow_range = _auto_range([0.0, *curve_qs, *[y for _, y in path]])
@@ -590,9 +610,9 @@ def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
         k_star = fixed_point(p)
         p1.dots([(k_star, k_star)], "#000000", radius=2.6)
     p2.polyline([(s.k, s.v) for s in curve], _CURVE_COLOR)
-    p2.dots([(s.k, s.v) for s in orbit.states], _MARKER_COLOR)
+    p2.dots(_Values([(s.k, s.v) for s in orbit.states], lap), _MARKER_COLOR)
     p3.polyline([(s.q, s.v) for s in curve], _CURVE_COLOR)
-    p3.dots([(s.q, s.v) for s in orbit.states], _MARKER_COLOR)
+    p3.dots(_Values([(s.q, s.v) for s in orbit.states], lap), _MARKER_COLOR)
     return [p1, p2, p3]
 
 

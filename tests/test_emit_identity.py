@@ -4,13 +4,15 @@ The emitters build each CSV row and each SVG dot with one %-format, encode
 JSON arrays of numbers with json's C encoder, format JSON floats directly,
 build a scan's JSON arrays and plot columns one grid point at a time, format
 the CSV fields, the bifurcation dots and the JSON floats of an orbit or scan
-point that carries a lap up to the end of its first lap and repeat them, and
-map a whole point list to pixels in one pass. The references below are the
-straightforward builders they replaced: ``json.dumps(indent=2)``, with each
-lazily built array as a list, one f-string with ``format(x, ".17g")`` per
-CSV row, one f-string per bifurcation dot from a flat (v0, y) point list,
+point that carries a lap up to the end of its first lap and repeat them, as
+they do a cobweb's staircase and marker dots and a sensitivity run's CSV
+fields, and map a whole point list to pixels in one pass. The references
+below are the straightforward builders they replaced: ``json.dumps(indent=2)``,
+with each lazily built array as a list, one f-string with ``format(x, ".17g")``
+per CSV row, one f-string per bifurcation dot from a flat (v0, y) point list,
 and one f-string per polyline point and per dot, each with the panel's pixel
-mapping written out. Every document must agree byte for byte.
+mapping written out; for cobwebs and sensitivity runs, the same payload with
+every lap set to None. Every document must agree byte for byte.
 
 The emitters write a scan's documents a piece at a time. The file each
 writer streams must equal the text it writes to a ``StringIO`` and, for
@@ -411,11 +413,56 @@ def test_curve_sensitivity_and_diagram_csv_match_reference():
     curve = lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=50)
     assert None in curve.lambdas
     assert csv_text(curve) == ref_csv(ref_curve_rows, curve)
-    result = sensitivity_experiment(0.1, 1e-3, TrafficParams(v0=2.585), n=60)
-    assert csv_text(result) == ref_csv(ref_sensitivity_rows, result)
+    chaotic = sensitivity_experiment(0.1, 1e-3, TrafficParams(v0=2.585), n=60)
+    # laps (133, 8) and (136, 12): the rows repeat every 24 from 136
+    lapped = sensitivity_experiment(0.8882023327985163, 1e-3, TrafficParams(v0=2.449604133332898))
+    assert emit._separation_lap(chaotic) is None
+    assert emit._separation_lap(lapped) == (136, 24)
+    for result in (chaotic, lapped):
+        assert csv_text(result) == ref_csv(ref_sensitivity_rows, result)
     p = TrafficParams(v0=2.25)
     diagram = DiagramPayload(params=p, samples=tuple(diagram_samples(p, 80)))
     assert csv_text(diagram) == ref_csv(ref_diagram_rows, diagram)
+
+
+def without_laps(payload):
+    """The orbit or sensitivity result with every lap set to None, so each sample is formatted."""
+    if isinstance(payload, Orbit):
+        return dataclasses.replace(payload, lap=None)
+    a, b = without_laps(payload.orbit_a), without_laps(payload.orbit_b)
+    return dataclasses.replace(payload, orbit_a=a, orbit_b=b)
+
+
+@pytest.mark.thorough
+@settings(deadline=None)
+@given(
+    st.floats(0.2, math.e),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 400),
+)
+@example(2.25, 0.35, 300)  # lap (35, 2)
+@example(2.48, 0.23, 300)  # lap (131, 16)
+@example(2.48, 0.23, 147)  # the first n that closes that lap
+@example(math.e, INV_E, 300)  # escaped at step 2, with no lap
+@example(2.449604133332898, 0.8882023327985163, 300)  # laps (133, 8), (136, 12): joint (136, 24)
+def test_cobweb_and_sensitivity_with_laps_match_unlapped(v0, k0, n):
+    spec = PlotSpec(title="cobweb")
+
+    def svg(payload):
+        # split at spaces, which joins back to the text, so a mismatch reports
+        # its first differing token rather than diffing a long polyline line
+        try:
+            return render_svg(spec, payload).split(" ")
+        except DomainError:  # from a subnormal k0, kj / k and the velocity axis overflow
+            return DomainError
+
+    p = TrafficParams(v0=v0)
+    orbit = iterate(k0, p, n)
+    assert svg(orbit) == svg(without_laps(orbit))
+    # the second initial density stays inside (0, 1)
+    result = sensitivity_experiment(k0, 1e-3 if k0 + 1e-3 < 1.0 else -1e-3, p, n=n)
+    assert csv_text(result) == csv_text(without_laps(result))
+    assert svg(result) == svg(without_laps(result))
 
 
 def test_every_payload_json_matches_indented_dumps():
