@@ -7,19 +7,19 @@ map step of the package is taken here, by one of three loops:
 - ``_trajectory`` takes one logarithm ln(kj / k) per step and returns every
   density. Orbits, sensitivity runs and the bifurcation scan's attractor
   tails take their states from ``model._states``, and the Lyapunov cycle
-  replay takes the slope v0 * (ln(kj / k) - 1) of each density of one lap.
+  replay takes the slope ``map_derivative`` of each density of one lap.
 - The transient loop of ``_lyapunov_terms`` only steps.
 - Its averaging loop keeps no point: it takes ln(kj / k) once for both the
   term ln|f'| and the step, because the Lyapunov sweep reads each of its
   11 000 points per grid value only once.
 
-``_trajectory`` looks each density up among those it keeps; the Lyapunov
-loops keep none and compare each with one saved on the schedule of
-``_cycle_block``. Once the float orbit repeats a density exactly, it is
-periodic from there on, because the step is a pure function of k, and it
-cannot escape, because every point of the cycle was already checked. Then
-``_trajectory`` repeats the cycle's densities, the transient skips whole
-cycles, and the averaging loop hands the rest of its sum to
+``_trajectory`` keeps each density once, in the dict that looks it up, in
+orbit order; the Lyapunov loops keep none and compare each with one saved
+on the schedule of ``_cycle_block``. Once the float orbit repeats a density
+exactly, it is periodic from there on, because the step is a pure function
+of k, and it cannot escape, because every point of the cycle was already
+checked. Then ``_trajectory`` repeats the cycle's densities, the transient
+skips whole cycles, and the averaging loop hands the rest of its sum to
 ``_replay_cycle``, which takes the terms of one lap of ``_trajectory`` and
 adds whole laps by exact strides, bit for bit the term-by-term sum. The
 cycle's lap is part of the result of ``_trajectory`` and ``Orbit``, and
@@ -103,24 +103,24 @@ def _trajectory(
     density equal to an earlier k_start closes the lap (start, length): the
     rest repeats the cycle between them, each float the one stepping would
     give. Every density before it is distinct, so start and length are each
-    the least with k_i == k_(i - length) for i >= start + length. The lap is
-    None exactly when no kept density repeats.
+    the least with k_i == k_(i - length) for i >= start + length, and the
+    keys of ``seen`` hold them in orbit order. The lap is None exactly when
+    no kept density repeats.
     """
     if not (0.0 < k <= p.kj):
         raise DomainError(f"density must lie in (0, {p.kj}], got {k}")
     v0, kj, log = p.v0, p.kj, math.log
-    densities = [k]
     seen = {k: 0}
     for index in range(1, n + 1):
         k = v0 * k * log(kj / k)
         if not (0.0 < k <= kj):
-            return densities, k, None
-        densities.append(k)
+            return list(seen), k, None
         start = seen.setdefault(k, index)
         if start < index:
-            densities += islice(cycle(densities[start + 1:]), n - index)
+            densities = list(seen)
+            densities += islice(cycle(densities[start:]), n + 1 - index)
             return densities, None, (start, index - start)
-    return densities, None, None
+    return list(seen), None, None
 
 
 def _lyapunov_terms(
@@ -193,15 +193,14 @@ def _replay_cycle(
 ) -> tuple[float, int]:
     """Add the terms of the next rest points of the period-cycle through k to acc.
 
-    Takes the slopes of the densities of one lap of _trajectory and
+    Takes the map_derivative of the densities of one lap of _trajectory and
     computes the period terms once. _cycle_sum adds them to acc with the bits
     of adding them one at a time, in orbit order, as the averaging loop
     would, but adds whole laps by exact strides; sum() does not add them,
     because from Python 3.12 it compensates float sums and changes the bits.
     Returns the new acc and the number of singular terms among the rest.
     """
-    points = _trajectory(k, p, period - 1)[0]
-    sizes = [abs(p.v0 * (math.log(p.kj / point) - 1.0)) for point in points]
+    sizes = [abs(map_derivative(point, p)) for point in _trajectory(k, p, period - 1)[0]]
     logs = [math.log(size) for size in sizes if size >= SINGULARITY_FLOOR]
     cycles, part = divmod(rest, period)
     adds = cycles * len(logs) + sum(size >= SINGULARITY_FLOOR for size in sizes[:part])

@@ -182,7 +182,7 @@ def _orbit_data(orbit: Orbit) -> dict:
 
 
 def _diagram_rows(payload: DiagramPayload) -> list[list[str]]:
-    return [["%.17g,%.17g,%.17g\n" % (s.k, s.q, s.v) for s in payload.samples]]
+    return [list(map("%s\n".__mod__, _kqv_texts(payload.samples)))]
 
 
 def _diagram_settings(payload: DiagramPayload) -> dict:
@@ -204,14 +204,16 @@ def _scan_rows(scan: BifurcationScan) -> Iterator[list[str]]:
 
 def _scan_data(scan: BifurcationScan) -> dict:
     points = list(zip(scan.samples, scan.laps or repeat(None)))
+
+    def arrays(get: Callable) -> _Lazy:
+        return _Lazy(points, lambda point: _Values(map(get, point[0]), point[1]))
+
     return {
         "v0": scan.v0_grid,
         "k0": [scan.settings.k0] * len(scan.v0_grid),
         "detected_period": scan.detected_periods,
         "escaped": scan.escaped,
-        "k": _Lazy(points, lambda point: _Values([s.k for s in point[0]], point[1])),
-        "q": _Lazy(points, lambda point: _Values([s.q for s in point[0]], point[1])),
-        "v": _Lazy(points, lambda point: _Values([s.v for s in point[0]], point[1])),
+        **{axis: arrays(attrgetter(axis)) for axis in "kqv"},
     }
 
 
@@ -423,17 +425,11 @@ class _Panel:
         self.x_label, self.y_label = x_label, y_label
         self.clip_id = clip_id
         # Each element is a line, or a callable that draws pieces of lines
-        # when the document is written (``write_svg``).
+        # when the document is written (``write_svg``), drawn where ``pixels`` maps.
         self.elements: list[str | Callable[[], Iterator[Iterable[str]]]] = []
 
-    def px(self, v: float) -> float:
-        return self.left + (v - self.x0) / (self.x1 - self.x0) * self.width
-
-    def py(self, v: float) -> float:
-        return self.top + self.height - (v - self.y0) / (self.y1 - self.y0) * self.height
-
     def pixels(self, points) -> list[tuple[float, float]]:
-        """The pixel of each (x, y) point, bit for bit what px and py give."""
+        """The pixel of each (x, y) point: the panel's one mapping, inlined in ``columns``."""
         left, x0, dx, width = self.left, self.x0, self.x1 - self.x0, self.width
         bottom, y0, dy, height = self.top + self.height, self.y0, self.y1 - self.y0, self.height
         return [
@@ -464,7 +460,7 @@ class _Panel:
 
         The columns are one drawing, which yields a piece of the document
         per non-empty column when the document is written. The drawing keeps
-        the mapping of x and y, bit for bit what px and py give, but not the
+        the mapping of x and y, bit for bit what pixels gives, but not the
         panel, which keeps the drawing: that cycle would keep the scan alive
         until the garbage collector ran. With no state to draw, the panel is
         left empty.
@@ -491,11 +487,13 @@ class _Panel:
 
     def hline(self, y, color):
         if self.y0 <= y <= self.y1:
-            self._guide(self.left, self.py(y), self.left + self.width, self.py(y), color)
+            [(_, yp)] = self.pixels([(self.x0, y)])
+            self._guide(self.left, yp, self.left + self.width, yp, color)
 
     def vline(self, x, color):
         if self.x0 <= x <= self.x1:
-            self._guide(self.px(x), self.top, self.px(x), self.top + self.height, color)
+            [(xp, _)] = self.pixels([(x, self.y0)])
+            self._guide(xp, self.top, xp, self.top + self.height, color)
 
     def _guide(self, x1, y1, x2, y2, color):
         style = f'stroke="{color}" stroke-width="1.0" stroke-dasharray="4 3"'
@@ -507,16 +505,14 @@ class _Panel:
             f'<rect x="{self.left:.2f}" y="{self.top:.2f}" width="{self.width:.2f}" '
             f'height="{self.height:.2f}" fill="none" {_FRAME_STYLE}/>'
         ]
-        for i in range(5):
-            xv = self.x0 + i * (self.x1 - self.x0) / 4
-            xp = self.px(xv)
+        dx, dy = self.x1 - self.x0, self.y1 - self.y0
+        ticks = [(self.x0 + i * dx / 4, self.y0 + i * dy / 4) for i in range(5)]
+        for (xv, yv), (xp, yp) in zip(ticks, self.pixels(ticks)):
             parts.append(_line(xp, bottom, xp, bottom + 4, _FRAME_STYLE))
             parts.append(
                 f'<text x="{xp:.2f}" y="{bottom + 16:.2f}" '
                 f'font-size="10" text-anchor="middle">{xv:.4g}</text>'
             )
-            yv = self.y0 + i * (self.y1 - self.y0) / 4
-            yp = self.py(yv)
             parts.append(_line(self.left - 4, yp, self.left, yp, _FRAME_STYLE))
             parts.append(
                 f'<text x="{self.left - 7:.2f}" y="{yp + 3:.2f}" font-size="10" '
@@ -565,23 +561,30 @@ def _layout(*axes) -> list[_Panel]:
     return panels
 
 
+def _phase_panels(curve, kj, flow_range, q_range, v_range) -> list[_Panel]:
+    """The k-q, k-v and q-v panels, k over [0, kj], each with the curve of states drawn.
+
+    flow_range is the q axis of the k-q panel, q_range that of the q-v panel.
+    """
+    x_k = _auto_range([0.0, kj])
+    panels = _layout(
+        (x_k, flow_range, "density k", "flow q"),
+        (x_k, v_range, "density k", "velocity v"),
+        (q_range, v_range, "flow q", "velocity v"),
+    )
+    for panel, axes in zip(panels, ("kq", "kv", "qv")):
+        panel.polyline(list(map(attrgetter(*axes), curve)), _CURVE_COLOR)
+    return panels
+
+
 def _diagram_panels(spec: PlotSpec, payload: DiagramPayload) -> list[_Panel]:
     samples = payload.samples
     kj = payload.params.kj
-    x_k = _auto_range([0.0, kj])
     q_range = _auto_range([0.0, *[s.q for s in samples]])
     # Velocity diverges as k -> 0; range over the moderate-density branch and
     # let the clip path absorb the free-flow spike.
     v_range = _auto_range([0.0, *[s.v for s in samples if s.k >= 0.02 * kj]])
-    p1, p2, p3 = _layout(
-        (x_k, q_range, "density k", "flow q"),
-        (x_k, v_range, "density k", "velocity v"),
-        (q_range, v_range, "flow q", "velocity v"),
-    )
-    p1.polyline([(s.k, s.q) for s in samples], _CURVE_COLOR)
-    p2.polyline([(s.k, s.v) for s in samples], _CURVE_COLOR)
-    p3.polyline([(s.q, s.v) for s in samples], _CURVE_COLOR)
-    return [p1, p2, p3]
+    return _phase_panels(samples, kj, q_range, q_range, v_range)
 
 
 def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
@@ -592,16 +595,10 @@ def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
     path_lap = lap and (2 * lap[0] + 1, 2 * lap[1])
     path = _Values(cobweb_path(orbit) if len(orbit.states) >= 2 else [], path_lap)
     curve_qs = [s.q for s in curve]
-    x_k = _auto_range([0.0, p.kj])
     flow_range = _auto_range([0.0, *curve_qs, *[y for _, y in path]])
     q_range = _auto_range([0.0, *curve_qs, *[s.q for s in orbit.states]])
     v_range = (0.0, 1.08 * max([p.v0, *[s.v for s in orbit.states], 1e-9]))
-    p1, p2, p3 = _layout(
-        (x_k, flow_range, "density k", "flow q"),
-        (x_k, v_range, "density k", "velocity v"),
-        (q_range, v_range, "flow q", "velocity v"),
-    )
-    p1.polyline([(s.k, s.q) for s in curve], _CURVE_COLOR)
+    p1, p2, p3 = _phase_panels(curve, p.kj, flow_range, q_range, v_range)
     p1.polyline([(0.0, 0.0), (p.kj, p.kj)], _GUIDE_COLOR, width=1.0, dash="5 4")
     if path:
         p1.polyline(path, _PATH_COLOR, width=1.1)
@@ -609,9 +606,7 @@ def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
     if p.v0 > 0.0:
         k_star = fixed_point(p)
         p1.dots([(k_star, k_star)], "#000000", radius=2.6)
-    p2.polyline([(s.k, s.v) for s in curve], _CURVE_COLOR)
     p2.dots(_Values([(s.k, s.v) for s in orbit.states], lap), _MARKER_COLOR)
-    p3.polyline([(s.q, s.v) for s in curve], _CURVE_COLOR)
     p3.dots(_Values([(s.q, s.v) for s in orbit.states], lap), _MARKER_COLOR)
     return [p1, p2, p3]
 

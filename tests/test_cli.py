@@ -143,6 +143,19 @@ class TestDiagramCommand:
         for name in ("diagram.csv", "diagram.json", "diagram.svg"):
             assert (tmp_path / name).exists()
 
+    def test_default_files_keep_their_bytes(self, tmp_path):
+        # repro never draws the diagram, so its sha256 table does not hold
+        # these bytes
+        assert run_cli("diagram", "--out", str(tmp_path)) == 0
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+        }
+        assert written == {
+            "diagram.csv": "f9580585e6f87566e55a31c038de8b293f7b67cbe8d9979e19d5f1f4a7316dad",
+            "diagram.json": "522e77506873f65acb37182e3569567ddcc698249412e4e44f3f2fe9ce1417b9",
+            "diagram.svg": "b26466d1e19abb3ee85c288827b9a1549b86afdf41f35e71efd2a2d57169dbf2",
+        }
+
     def test_tiny_jam_density_exits_3(self, tmp_path, capsys):
         code = run_cli("diagram", "--v0", "1", "--kj", "1e-320", "--out", str(tmp_path))
         assert code == 3

@@ -566,27 +566,50 @@ def outcome(draw):
         return ZeroDivisionError
 
 
+def ref_guide(x1, y1, x2, y2, color):
+    return (
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+        f'stroke="{color}" stroke-width="1.0" stroke-dasharray="4 3"/>'
+    )
+
+
 @pytest.mark.thorough
 @given(
     st.tuples(panel_sizes, panel_sizes, panel_sizes, panel_sizes),
     st.tuples(pixel_numbers, pixel_numbers, pixel_numbers, pixel_numbers),
     st.lists(st.tuples(pixel_numbers, pixel_numbers), max_size=8),
     st.sampled_from([(1.3, None), (1.1, "5 4")]),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
-def test_bulk_polyline_and_dots_match_per_point_mapping(box, limits, points, stroke):
+def test_bulk_polyline_and_dots_match_per_point_mapping(box, limits, points, stroke, where):
     left, top, width, height = box
     x0, x1, y0, y1 = limits
     panel = emit._Panel(left, top, width, height, (x0, x1), (y0, y1), "x", "y", "c")
+    # Guides at a value between the limits, as far as rounding and the
+    # limits allow; a value outside them draws no guide. hline maps its y
+    # with x at x0, so a zero-width x limit raises there, as it does in the
+    # frame of every drawn panel; such a limit always admits the vline,
+    # whose reference raises too.
+    gx, gy = x0 + where[0] * (x1 - x0), y0 + where[1] * (y1 - y0)
 
     def bulk():
         panel.elements = []
         panel.polyline(points, "#123456", *stroke)
         panel.dots(points, "#654321", radius=2.4)
+        panel.hline(gy, "#777777")
+        panel.vline(gx, "#d62728")
         return panel.elements
 
     def reference():
         line = ref_polyline(panel, points, "#123456", *stroke)
-        return line + [ref_dot(panel, x, y, "#654321", 2.4) for x, y in points]
+        elements = line + [ref_dot(panel, x, y, "#654321", 2.4) for x, y in points]
+        if y0 <= gy <= y1:
+            yp = ref_py(panel, gy)
+            elements.append(ref_guide(left, yp, left + width, yp, "#777777"))
+        if x0 <= gx <= x1:
+            xp = ref_px(panel, gx)
+            elements.append(ref_guide(xp, top, xp, top + height, "#d62728"))
+        return elements
 
     assert outcome(bulk) == outcome(reference)
 

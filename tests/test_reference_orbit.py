@@ -6,6 +6,12 @@ against it. A periodic orbit contracts its rounding errors, so it stays
 within a few ulps of the reference at every step. A chaotic orbit
 amplifies its first rounding error of about 2**-53 by exp(lam) per step,
 so it departs by more than eps near step ln(eps / 2**-53) / lam.
+
+A chaotic float orbit is still close to some true orbit: solved backward
+at 60 digits from its last point, each step on the branch of the map that
+holds the float point, a true orbit shadows all of it. Backward solving
+does not fit a periodic orbit, whose inverse map expands along its stable
+cycle; its 120-digit forward reference is its shadow.
 """
 
 import math
@@ -69,3 +75,48 @@ def test_chaotic_orbit_departs_near_the_lyapunov_horizon(name):
     for eps in (1e-12, 1e-6, 1e-2):
         step = next(i for i, e in enumerate(errors) if e > Decimal(eps))
         assert 0.5 <= step / (math.log(eps / 2**-53) / lam) <= 2.0
+
+
+def backward_shadow(orbit):
+    """The true orbit ending at the last float point, each preimage on its float point's branch.
+
+    Each preimage is solved by Newton's method at 60 digits from its float
+    point, on the same side of the map maximum kj/e. Returns the shadow and
+    kj/e.
+    """
+    with localcontext() as context:
+        context.prec = 60
+        v0, kj = Decimal(orbit.params.v0), Decimal(orbit.params.kj)
+        peak = kj / Decimal(1).exp()
+        floats = [Decimal(s.k) for s in orbit.states]
+        shadow = [floats[-1]]
+        for guess in reversed(floats[:-1]):
+            x = guess
+            for _ in range(20):
+                ratio = (kj / x).ln()
+                step = (v0 * x * ratio - shadow[-1]) / (v0 * (ratio - 1))
+                x -= step
+                if abs(step) < Decimal("1e-58"):
+                    break
+            assert (x < peak) == (guess < peak)
+            shadow.append(x)
+        shadow.reverse()
+    return shadow, peak
+
+
+# Measured: the shadow lies within 4.70e-14 (chaotic_a) and 2.07e-15
+# (chaotic_b) of the float orbit, and starts 7.4e-17 and 2.9e-17 from k0.
+# The float orbit comes closest to kj/e, where the branches meet and the
+# preimage is most sensitive, at 3.4e-4 and 3.5e-3.
+@pytest.mark.parametrize("name, closest", [("chaotic_a", 3.4e-4), ("chaotic_b", 3.5e-3)])
+def test_chaotic_orbit_is_shadowed_by_a_true_orbit(name, closest):
+    p, _, orbit, _ = orbit_and_errors(name)
+    shadow, peak = backward_shadow(orbit)
+    floats = [Decimal(s.k) for s in orbit.states]
+    assert max(abs(x - f) for x, f in zip(shadow, floats)) <= Decimal("1e-12")
+    with localcontext() as context:
+        context.prec = 60
+        v0, kj = Decimal(p.v0), Decimal(p.kj)
+        residuals = [abs(v0 * x * (kj / x).ln() - y) for x, y in zip(shadow, shadow[1:])]
+    assert max(residuals) < Decimal("1e-56")
+    assert math.isclose(min(abs(f - peak) for f in floats), closest, rel_tol=0.05)
