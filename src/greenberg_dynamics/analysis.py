@@ -9,7 +9,7 @@ are recorded per grid point instead of raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dynamics import _lyapunov_terms, _trajectory
@@ -62,7 +62,7 @@ class ScanSettings:
     n_total: int
     n_keep: int
     tolerance: float
-    max_period: int
+    max_period: int = field(default=DEFAULT_MAX_PERIOD, init=False)
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,10 @@ def exponential_stability_check(p: TrafficParams, k0: float) -> StabilityCertifi
     step 1 (k0 = kj does), when beta rounds to 1 (k0 or k1 within about
     1e-16 * k* of 0), or when exp(-1/v0) underflows (v0 below about 1/745).
     """
-    densities, escaped, _ = _trajectory(k0, p, 1)
+    densities, _ = _trajectory(k0, p, 1)
     if p.v0 == 0.0:
         return StabilityCertificate(stable=True, m=1.0, beta=0.0)
-    if p.v0 >= 1.0 or escaped is not None:
+    if p.v0 >= 1.0 or len(densities) < 2:
         return StabilityCertificate(stable=False)
     k_star = fixed_point(p)
     if k_star == 0.0:
@@ -267,8 +267,10 @@ def bifurcation_scan(
     min(DEFAULT_MAX_PERIOD, n_keep // 2), so the retained window always
     satisfies the detector's length requirement. An escaped grid point is
     recorded, not raised: it keeps its partial samples and carries no
-    period.
+    period. The tolerance is checked even where no period is searched.
     """
+    if not (tolerance > 0.0):
+        raise ArgumentError(f"tolerance must be positive, got {tolerance}")
     if n_keep < 1 or n_keep >= n_total:
         raise ArgumentError(f"need 1 <= n_keep < n_total, got keep={n_keep} total={n_total}")
     grid = _parameter_grid(v0_min, v0_max, steps)
@@ -279,11 +281,12 @@ def bifurcation_scan(
 
     def scan_point(v0: float):
         p = TrafficParams(v0=v0)
-        densities, escaped, lap = _trajectory(k0, p, n_total)
+        densities, lap = _trajectory(k0, p, n_total)
         tail = densities[first:]
-        period = detect_period(tail, tolerance, cap) if escaped is None and cap >= 1 else None
+        escaped = len(densities) <= n_total
+        period = detect_period(tail, tolerance, cap) if not escaped and cap >= 1 else None
         lap = lap and (max(lap[0] - first, 0), lap[1])
-        return _states(tail, p, lap), period, escaped is not None, lap
+        return _states(tail, p, lap), period, escaped, lap
 
     samples, periods, escaped, laps = zip(*map(scan_point, grid))
     return BifurcationScan(
@@ -297,7 +300,6 @@ def bifurcation_scan(
             n_total=n_total,
             n_keep=n_keep,
             tolerance=tolerance,
-            max_period=DEFAULT_MAX_PERIOD,
         ),
     )
 

@@ -14,17 +14,14 @@ map step of the package is taken here, by one of three loops:
   11 000 points per grid value only once.
 
 ``_trajectory`` keeps each density once, in the dict that looks it up, in
-orbit order; the Lyapunov loops keep none and compare each with one saved
-on the schedule of ``_cycle_block``. Once the float orbit repeats a density
-exactly, it is periodic from there on, because the step is a pure function
-of k, and it cannot escape, because every point of the cycle was already
-checked. Then ``_trajectory`` repeats the cycle's densities, the transient
+orbit order, and its docstring states when a float cycle closes and what
+follows. The Lyapunov loops keep no density and compare each with one
+saved on the schedule of ``_cycle_block``: once one repeats, the transient
 skips whole cycles, and the averaging loop hands the rest of its sum to
 ``_replay_cycle``, which takes the terms of one lap of ``_trajectory`` and
 adds whole laps by exact strides, bit for bit the term-by-term sum. The
-cycle's lap is part of the result of ``_trajectory`` and ``Orbit``, and
-``model._states`` and the emitters build and format one lap and repeat it,
-with no state shared by identity and no text memoized.
+lap is part of the result of ``_trajectory`` and ``Orbit``, and
+``model._states`` and the emitters build and format one lap and repeat it.
 """
 
 from __future__ import annotations
@@ -60,8 +57,7 @@ class Orbit:
     ``states`` holds only in-domain states (length n+1 when nothing escapes).
     When an iterate leaves (0, kj], ``escaped`` is the index that iterate
     would have had and the orbit is truncated just before it. ``lap`` is the
-    float cycle ``_trajectory`` closed, (start, length), or None exactly when
-    no kept density repeats.
+    (start, length) or None that ``_trajectory`` returns.
     """
 
     params: TrafficParams
@@ -92,20 +88,20 @@ def _cycle_block(index: int) -> int:
     return min(max(index, 1), _CYCLE_BLOCK)
 
 
-def _trajectory(
-    k: float, p: TrafficParams, n: int
-) -> tuple[list[float], float | None, tuple[int, int] | None]:
+def _trajectory(k: float, p: TrafficParams, n: int) -> tuple[list[float], tuple[int, int] | None]:
     """Up to n map steps from density k in (0, kj], the domain checked once here.
 
-    Returns the in-domain densities k_0, k_1, ..., the first successor that
-    left (0, kj] or None, and the lap or None. On escape the densities stop
-    just before the escaped iterate, whose index is their length. The first
-    density equal to an earlier k_start closes the lap (start, length): the
-    rest repeats the cycle between them, each float the one stepping would
-    give. Every density before it is distinct, so start and length are each
-    the least with k_i == k_(i - length) for i >= start + length, and the
-    keys of ``seen`` hold them in orbit order. The lap is None exactly when
-    no kept density repeats.
+    Returns the in-domain densities k_0, k_1, ... and the lap or None. An
+    escape is a list shorter than n + 1: it stops just before the first
+    iterate that left (0, kj], whose index is its length. The first density
+    equal to an earlier k_start closes the lap (start, length): the rest
+    repeats the cycle between them, each float the one stepping would give,
+    because the step is a pure function of k, and it cannot escape, because
+    every point of the cycle was already checked. Every density before it is
+    distinct, so start and length are each the least with
+    k_i == k_(i - length) for i >= start + length, and the keys of ``seen``
+    hold them in orbit order. The lap is None exactly when no kept density
+    repeats, which includes every escape.
     """
     if not (0.0 < k <= p.kj):
         raise DomainError(f"density must lie in (0, {p.kj}], got {k}")
@@ -114,13 +110,13 @@ def _trajectory(
     for index in range(1, n + 1):
         k = v0 * k * log(kj / k)
         if not (0.0 < k <= kj):
-            return list(seen), k, None
+            break
         start = seen.setdefault(k, index)
         if start < index:
             densities = list(seen)
             densities += islice(cycle(densities[start:]), n + 1 - index)
-            return densities, None, (start, index - start)
-    return list(seen), None, None
+            return densities, (start, index - start)
+    return list(seen), None
 
 
 def _lyapunov_terms(
@@ -275,8 +271,8 @@ def iterate(k0: float, p: TrafficParams, n: int = DEFAULT_ITERATIONS) -> Orbit:
         raise DomainError(f"initial density must lie in (0, {p.kj}), got {k0}")
     if n < 1:
         raise ArgumentError(f"need at least one iteration, got {n}")
-    densities, escaped_k, lap = _trajectory(k0, p, n)
-    escaped = len(densities) if escaped_k is not None else None
+    densities, lap = _trajectory(k0, p, n)
+    escaped = len(densities) if len(densities) <= n else None
     return Orbit(params=p, k0=k0, n=n, states=_states(densities, p, lap), escaped=escaped, lap=lap)
 
 

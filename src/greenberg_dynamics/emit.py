@@ -16,15 +16,14 @@ is always a piece of its own. The cost of a document is formatting numbers.
 An orbit's or scan point's CSV fields, dots and JSON floats, a cobweb's
 staircase and marker dots, and a sensitivity run's CSV fields are formatted
 up to the end of the lap their result carries (``Orbit.lap``,
-``BifurcationScan.laps``) and repeated, not looked up by identity or
-memoized; a list carries its lap as a ``_Values``. The staircase's lap is
-(2 * start + 1, 2 * length), and the separation's is the joint lap of both
-orbits (``_separation_lap``). With no lap, each sample is formatted. What
-remains is one %-format per CSV row, with the v0 and period fields of a scan
-point formatted once, one per point of every other polyline (the diagram
-curves and the traces against v0 or the iteration), each point list mapped
-to pixels in one pass (``_Panel.pixels``), and json's C encoder for every
-other array of numbers.
+``BifurcationScan.laps``) and repeated; a list carries its lap as a
+``_Values``. The staircase's lap is (2 * start + 1, 2 * length), and the
+separation's is the joint lap of both orbits (``_separation_lap``). With no
+lap, each sample is formatted. What remains is one %-format per CSV row,
+with the v0 and period fields of a scan point formatted once, one per point
+of every other polyline (the diagram curves and the traces against v0 or the
+iteration), each point list mapped to pixels in one pass
+(``_Panel.pixels``), and json's C encoder for every other array of numbers.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -600,8 +599,7 @@ def _cobweb_panels(spec: PlotSpec, orbit: Orbit) -> list[_Panel]:
     v_range = (0.0, 1.08 * max([p.v0, *[s.v for s in orbit.states], 1e-9]))
     p1, p2, p3 = _phase_panels(curve, p.kj, flow_range, q_range, v_range)
     p1.polyline([(0.0, 0.0), (p.kj, p.kj)], _GUIDE_COLOR, width=1.0, dash="5 4")
-    if path:
-        p1.polyline(path, _PATH_COLOR, width=1.1)
+    p1.polyline(path, _PATH_COLOR, width=1.1)
     p1.dots([(orbit.k0, orbit.k0)], _PATH_COLOR, radius=2.4)
     if p.v0 > 0.0:
         k_star = fixed_point(p)
@@ -640,14 +638,11 @@ def _lyapunov_panels(spec: PlotSpec, curve: LyapunovCurve) -> list[_Panel]:
     [panel] = _layout((x_lim, y_lim, "optimum velocity v0", "Lyapunov exponent"))
     panel.hline(0.0, _GUIDE_COLOR)
     panel.vline(2.0, _PATH_COLOR)
-    segment: list[tuple[float, float]] = []
-    for v0, lam in zip(curve.v0_grid, curve.lambdas):
-        if lam is None:
-            panel.polyline(segment, _CURVE_COLOR, width=1.1)
-            segment = []
-        else:
-            segment.append((v0, lam))
-    panel.polyline(segment, _CURVE_COLOR, width=1.1)
+    # a missing point breaks the curve
+    points = zip(curve.v0_grid, curve.lambdas)
+    for present, run in groupby(points, lambda point: point[1] is not None):
+        if present:
+            panel.polyline(list(run), _CURVE_COLOR, width=1.1)
     return [panel]
 
 

@@ -6,7 +6,7 @@ kj normalized to 1 by default. All functions here are pure and stateless.
 Orbits, scan tails and diagram profiles all take their states from
 ``_states`` here, which equals state_of_density bit for bit. With the lap
 of the kernel's result, it builds states up to the end of the first lap and
-repeats them, finding no state again by identity or density.
+repeats them.
 """
 
 from __future__ import annotations

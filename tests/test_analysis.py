@@ -267,6 +267,14 @@ class TestBifurcationScan:
         with pytest.raises(ArgumentError):
             bifurcation_scan(1.0, 1.5, 3, n_total=100, n_keep=100)
 
+    @pytest.mark.parametrize("n_keep", [1, 4])
+    @pytest.mark.parametrize("tolerance", [-5.0, math.nan])
+    def test_rejects_a_bad_tolerance_before_the_sweep(self, n_keep, tolerance):
+        # with n_keep = 1 the scan searches no period, so detect_period never
+        # sees the tolerance
+        with pytest.raises(ArgumentError, match=rf"^tolerance must be positive, got {tolerance}$"):
+            bifurcation_scan(2.0, 2.0, 1, n_total=10, n_keep=n_keep, tolerance=tolerance)
+
     @pytest.mark.parametrize("k0", [0.0, 1.0, math.nan])
     def test_rejects_an_initial_density_outside_the_domain(self, k0):
         with pytest.raises(DomainError, match=r"^scan initial density must lie in \(0, 1\.0\)"):

@@ -3,6 +3,7 @@
 import csv
 import functools
 import gc
+import hashlib
 import io
 import json
 import math
@@ -123,7 +124,7 @@ class TestWriteCsv:
             samples=(),
             detected_periods=(),
             escaped=(),
-            settings=ScanSettings(0.25, 300, 60, 1e-6, 64),
+            settings=ScanSettings(0.25, 300, 60, 1e-6),
         )
         path = tmp_path / "empty.csv"
         assert write_csv(empty, path) == path.stat().st_size
@@ -293,6 +294,27 @@ class TestRenderSvg:
     def test_lyapunov_panel_includes_the_zero_guide(self, curve):
         doc = render_svg(PlotSpec(), curve)
         assert 'stroke-dasharray="4 3"' in doc
+
+    @pytest.mark.parametrize(
+        "payload, digest",
+        [
+            # one lambda is None, so the curve is drawn in two pieces
+            (
+                lyapunov_curve(0.5, 1.5, 5, n=1000, n_transient=200),
+                "5bbef36b615f0e49c850a474776ab302506e2b3f0bb80a3ae65ad0e4d06a8837",
+            ),
+            # a single state: the cobweb has no staircase to draw
+            (
+                iterate(INV_E, TrafficParams(v0=3.0), 5),
+                "f8d3ef9b88b2420ef74fd5aad70a503faa910892596f14e110a529e4f74fb391",
+            ),
+        ],
+        ids=["lyapunov-gap", "one-state-cobweb"],
+    )
+    def test_plots_outside_repro_keep_their_bytes(self, payload, digest):
+        # repro draws neither plot, so its sha256 table does not hold these bytes
+        doc = render_svg(PlotSpec(), payload)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
     def test_title_is_escaped(self, diagram):
         doc = render_svg(PlotSpec(title="flow < 1 & q"), diagram)

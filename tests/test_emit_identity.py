@@ -337,7 +337,7 @@ def test_scans_with_escapes_and_periods_match_reference():
 
 
 def empty_scan():
-    settings = ScanSettings(k0=0.25, n_total=300, n_keep=60, tolerance=1e-6, max_period=64)
+    settings = ScanSettings(k0=0.25, n_total=300, n_keep=60, tolerance=1e-6)
     return BifurcationScan(
         v0_grid=(), samples=(), detected_periods=(), escaped=(), settings=settings
     )
@@ -351,7 +351,7 @@ def signed_zero_scan():
         TrafficState(k=1, q=1.0, v=True),
         TrafficState(k=1.0, q=1, v=1.0),
     )
-    settings = ScanSettings(k0=0.5, n_total=10, n_keep=4, tolerance=1e-6, max_period=2)
+    settings = ScanSettings(k0=0.5, n_total=10, n_keep=4, tolerance=1e-6)
     return BifurcationScan(
         v0_grid=(1.0, 2.0),
         samples=(states, states[::-1]),

@@ -144,10 +144,10 @@ PINNED_LAPS = {0.5: (1, 1), 2.25: (35, 2), 2.48: (131, 16), 2.585: None}
 @pytest.mark.parametrize("v0, k0, n, logs", TRAJECTORY_PINS)
 def test_trajectory_steps_until_a_cycle_closes(monkeypatch, v0, k0, n, logs):
     calls = count_logs(monkeypatch)
-    densities, escaped, lap = _trajectory(k0, TrafficParams(v0=v0), n)
+    densities, lap = _trajectory(k0, TrafficParams(v0=v0), n)
     monkeypatch.undo()
     assert len(calls) == logs
-    assert len(densities) == n + 1 and escaped is None
+    assert len(densities) == n + 1
     assert lap == PINNED_LAPS[v0]
 
 
@@ -160,19 +160,16 @@ def test_trajectory_steps_until_a_cycle_closes(monkeypatch, v0, k0, n, logs):
 @example(2.585, 1.0, 0.1, 300)  # chaotic: never repeats
 def test_iterate_matches_reference(v0, kj, fraction, n):
     p, k0 = params_and_k0(v0, kj, fraction)
-    ks, escape_index, escaped_k = ref_orbit(k0, p, n)
+    ks, escape_index, _ = ref_orbit(k0, p, n)
     orbit = iterate(k0, p, n)
     assert hexes(s.k for s in orbit.states) == hexes(ks)
     assert hexes(s.q for s in orbit.states) == hexes(ref_flow(k, p) for k in ks)
     assert hexes(s.v for s in orbit.states) == hexes(ref_velocity(k, p) for k in ks)
     # one state per density up to the end of the first lap, reused after it
-    successor, lap = _trajectory(k0, p, n)[1:]
+    _, lap = _trajectory(k0, p, n)
     assert orbit.lap == lap
     assert len({id(s) for s in orbit.states}) == (len(ks) if lap is None else sum(lap))
     assert orbit.escaped == escape_index
-    # the successor that left (0, kj], bit for bit
-    assert (successor is None) == (escaped_k is None)
-    assert successor is None or successor.hex() == escaped_k.hex()
 
 
 # The scan runs at kj = 1 and on v0 <= e only; tails with other kj take the
@@ -231,14 +228,14 @@ def test_trajectory_lap_is_exact_and_least(v0, kj, fraction, n, n_keep):
     # the first repeat closes the lap: every density before it is distinct,
     # so no shorter length and no earlier start fits
     p, k0 = params_and_k0(v0, kj, fraction)
-    densities, escaped_k, lap = _trajectory(k0, p, n)
+    densities, lap = _trajectory(k0, p, n)
     orbit = iterate(k0, p, n)
     assert orbit.lap == lap
     if lap is None:
         assert len(set(densities)) == len(densities)
     else:
         start, length = lap
-        assert escaped_k is None and start + length <= n
+        assert len(densities) == n + 1 and start + length <= n
         assert len(set(densities[:start + length])) == start + length
         assert fits(densities, start, length)
         assert reuses_lap(orbit.states, lap)
@@ -259,6 +256,39 @@ def test_default_scan_carries_a_lap_for_every_point_that_repeats():
         repeats.append(len(set(ks)) < len(ks))
     assert sum(repeats) == 818
     assert [lap is not None for lap in scan.laps] == repeats
+
+
+def lap_period(lap_ks, cap, tolerance):
+    """The least divisor d <= cap of the lap's length that moves no density of
+    the lap, cyclically, by the tolerance or more; None if there is none."""
+    length = len(lap_ks)
+    for d in range(1, min(cap, length) + 1):
+        later = lap_ks[d:] + lap_ks[:d]
+        if length % d == 0 and all(abs(b - a) < tolerance for a, b in zip(lap_ks, later)):
+            return d
+    return None
+
+
+# A tail that is whole laps from its first sample could take its period from
+# its lap alone; the label detect_period gives its window must be that one.
+@pytest.mark.thorough
+@given(
+    st.floats(0.05, math.e, exclude_max=True),
+    st.floats(1e-3, 0.999, exclude_max=True),
+    st.sampled_from([300, 500, 2000]),
+    st.sampled_from([20, 60, 100, 200]),
+)
+@example(2.25, 0.35, 300, 60)  # the 2-cycle
+@example(2.48, 0.23, 300, 60)  # a 16-point float cycle of the 8-cycle
+@example(2.5356805346025695, 0.1518156773639057, 300, 60)  # excluded: lap (52, 6) of the tail
+def test_a_tail_of_whole_laps_is_labelled_by_its_lap(v0, k0, n_total, n_keep):
+    scan = bifurcation_scan(v0, v0, 1, k0=k0, n_total=n_total, n_keep=n_keep)
+    [tail_lap] = scan.laps
+    assume(tail_lap is not None and tail_lap[0] == 0)
+    densities, (start, length) = _trajectory(k0, TrafficParams(v0=v0), n_total)
+    cap = min(64, n_keep // 2)
+    expected = lap_period(densities[start:start + length], cap, scan.settings.tolerance)
+    assert scan.detected_periods == (expected,)
 
 
 def test_two_cycle_scan_tail_holds_two_states():
@@ -292,8 +322,9 @@ def test_orbits_scale_exactly_with_a_power_of_two_kj(v0, fraction, m, n):
     base, scaled = TrafficParams(v0=v0), TrafficParams(v0=v0, kj=kj)
     # 1100 steps cover the orbit and the exponent's transient and terms; an
     # escape to 0 from below kj is an underflow
-    densities, escaped_k, _ = _trajectory(fraction, base, 1100)
-    assume(min(densities) >= 1e-280 and (escaped_k != 0.0 or densities[-1] == 1.0))
+    densities, _ = _trajectory(fraction, base, 1100)
+    to_zero = len(densities) <= 1100 and ref_flow(densities[-1], base) == 0.0
+    assume(min(densities) >= 1e-280 and (not to_zero or densities[-1] == 1.0))
     orbit, scaled_orbit = iterate(fraction, base, n), iterate(fraction * kj, scaled, n)
     assert hexes(s.k for s in scaled_orbit.states) == hexes(kj * s.k for s in orbit.states)
     assert hexes(s.q for s in scaled_orbit.states) == hexes(kj * s.q for s in orbit.states)
@@ -500,3 +531,52 @@ def test_superstable_cycle_has_no_positive_exponent():
     estimate, used, skipped = _lyapunov_terms(TrafficParams(v0=MIXED_V0), 0.25, 10_000, 1_000)
     assert (used, skipped) == (5_000, 5_000)
     assert estimate <= 0.0
+
+
+# Feigenbaum 1978 (J. Stat. Phys. 19:25): the superstable parameters of the
+# period-doubling cascade approach its end, near v0 = 2.4905, with gaps that
+# shrink by delta = 4.6692... each doubling.
+FEIGENBAUM_DELTA = 4.669201609102990
+CASCADE_END = 2.4906
+
+
+def superstable_v0(j, previous):
+    """The first v0 above previous whose orbit from kj/e returns to it after 2**j steps.
+
+    Steps up from previous + 1e-7 toward CASCADE_END until the return's miss
+    changes sign, bisects to adjacent floats and keeps the one that misses less.
+    """
+    peak = math.exp(-1.0)
+
+    def miss(v0):
+        return iterate(peak, TrafficParams(v0=v0), 2**j).states[-1].k - peak
+
+    lo = hi = previous + 1e-7
+    above = miss(lo) > 0.0
+    while (miss(hi) > 0.0) == above:
+        lo, hi = hi, hi + (CASCADE_END - hi) / 8
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if (miss(mid) > 0.0) == above:
+            lo = mid
+        else:
+            hi = mid
+    return min(lo, hi, key=lambda v0: abs(miss(v0)))
+
+
+def test_superstable_cascade_converges_to_feigenbaums_delta():
+    roots = [1.0]  # the superstable fixed point kj/e
+    for j in range(1, 6):
+        roots.append(superstable_v0(j, roots[-1]))
+    # the superstable 2-cycle is the parameter of the strict xfail above
+    assert roots[1] == MIXED_V0
+    assert roots[2:] == pytest.approx(
+        [2.434307754288339, 2.4784822178586756, 2.487911037018846, 2.489928401215189],
+        rel=1e-15,
+    )
+    gaps = [b - a for a, b in zip(roots, roots[1:])]
+    deltas = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert deltas == pytest.approx([5.6449, 4.8863, 4.6850, 4.6738], abs=1e-4)
+    assert all(a > b > FEIGENBAUM_DELTA for a, b in zip(deltas, deltas[1:]))
+    for j, v0 in enumerate(roots[1:], start=1):
+        scan = bifurcation_scan(v0, v0, 1, n_total=4000, n_keep=256)
+        assert scan.detected_periods == (2**j,)
