@@ -211,7 +211,7 @@ def detect_period(
     """Smallest period p <= max_period with |x[i+p] - x[i]| < tolerance for all i.
 
     Returns None when no period fits (aperiodic). Ties resolve to the
-    smallest period by construction.
+    smallest period by construction. Every pair is compared (``_period``).
     """
     if not (tolerance > 0.0):
         raise ArgumentError(f"tolerance must be positive, got {tolerance}")
@@ -222,8 +222,18 @@ def detect_period(
             f"need at least {2 * max_period} samples for max_period {max_period}, "
             f"got {len(samples)}"
         )
-    for p in range(1, max_period + 1):
-        if all(abs(b - a) < tolerance for a, b in zip(samples, samples[p:])):
+    return _period(samples, tolerance, max_period, len(samples))
+
+
+def _period(samples: Sequence[float], tolerance: float, cap: int, pairs: int) -> int | None:
+    """Smallest p <= cap with |x[i+p] - x[i]| < tolerance for each i < pairs that has an x[i+p].
+
+    Unchecked. Samples that repeat every L from the first need only L pairs
+    per lag: each later pair holds the same two floats as the pair L before it.
+    """
+    head = samples[:pairs]
+    for p in range(1, cap + 1):
+        if all(abs(b - a) < tolerance for a, b in zip(head, samples[p:])):
             return p
     return None
 
@@ -263,16 +273,22 @@ def bifurcation_scan(
     """Sweep v0 over an ascending grid, sampling each attractor and its period.
 
     Every grid point iterates n_total steps from ``k0`` (kj = 1) and keeps
-    the last n_keep densities. The period search is capped at
+    the last n_keep >= 2 densities. The period search is capped at
     min(DEFAULT_MAX_PERIOD, n_keep // 2), so the retained window always
-    satisfies the detector's length requirement. An escaped grid point is
-    recorded, not raised: it keeps its partial samples and carries no
-    period. The tolerance is checked even where no period is searched.
+    satisfies the detector's length requirement. A tail whose lap starts at
+    its first sample is whole laps, so each lag compares one lap of pairs
+    (``_period``); any other tail compares all of them, as
+    ``detect_period`` does. An escaped grid point is recorded, not raised:
+    it keeps its partial samples and carries no period. The tolerance is
+    checked first, even where every point escapes.
     """
     if not (tolerance > 0.0):
         raise ArgumentError(f"tolerance must be positive, got {tolerance}")
-    if n_keep < 1 or n_keep >= n_total:
-        raise ArgumentError(f"need 1 <= n_keep < n_total, got keep={n_keep} total={n_total}")
+    if n_keep < 2 or n_keep >= n_total:
+        raise ArgumentError(
+            f"need 2 <= n_keep < n_total: a period needs two kept samples, "
+            f"got keep={n_keep} total={n_total}"
+        )
     grid = _parameter_grid(v0_min, v0_max, steps)
     if not (0.0 < k0 < 1.0):
         raise DomainError(f"scan initial density must lie in (0, 1.0), got {k0}")
@@ -284,8 +300,9 @@ def bifurcation_scan(
         densities, lap = _trajectory(k0, p, n_total)
         tail = densities[first:]
         escaped = len(densities) <= n_total
-        period = detect_period(tail, tolerance, cap) if not escaped and cap >= 1 else None
         lap = lap and (max(lap[0] - first, 0), lap[1])
+        pairs = lap[1] if lap and lap[0] == 0 else n_keep
+        period = None if escaped else _period(tail, tolerance, cap, pairs)
         return _states(tail, p, lap), period, escaped, lap
 
     samples, periods, escaped, laps = zip(*map(scan_point, grid))

@@ -16,14 +16,16 @@ is always a piece of its own. The cost of a document is formatting numbers.
 An orbit's or scan point's CSV fields, dots and JSON floats, a cobweb's
 staircase and marker dots, and a sensitivity run's CSV fields are formatted
 up to the end of the lap their result carries (``Orbit.lap``,
-``BifurcationScan.laps``) and repeated; a list carries its lap as a
+``BifurcationScan.laps``) and repeated, and a bifurcation plot takes its
+range from each point's states up to there; a list carries its lap as a
 ``_Values``. The staircase's lap is (2 * start + 1, 2 * length), and the
 separation's is the joint lap of both orbits (``_separation_lap``). With no
-lap, each sample is formatted. What remains is one %-format per CSV row,
-with the v0 and period fields of a scan point formatted once, one per point
-of every other polyline (the diagram curves and the traces against v0 or the
-iteration), each point list mapped to pixels in one pass
-(``_Panel.pixels``), and json's C encoder for every other array of numbers.
+lap, each sample is formatted. What remains is one %-format per CSV row of
+the other payloads, while a scan's rows are joined from texts formatted once:
+each point's v0 and period, and one table of sample indexes per scan; one
+%-format per point of every other polyline (the diagram curves and the
+traces against v0 or the iteration), each point list mapped to pixels in one
+pass (``_Panel.pixels``); and json's C encoder for every other array of numbers.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -38,7 +40,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain, groupby, repeat
-from operator import attrgetter
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -89,7 +91,7 @@ class _Schema:
 
     kind: str  # the JSON document kind
     header: str  # the CSV header
-    rows: Callable  # payload -> CSV data rows in pieces: lists of rows ending in a newline
+    rows: Callable  # payload -> CSV data rows in pieces: lists of texts of whole rows
     settings: Callable  # payload -> the input parameters echoed into every artifact
     data: Callable  # payload -> the JSON "data" object
     panels: Callable  # (spec, payload) -> the SVG panels
@@ -193,12 +195,18 @@ def _diagram_data(payload: DiagramPayload) -> dict:
 
 
 def _scan_rows(scan: BifurcationScan) -> Iterator[list[str]]:
-    """The rows of each grid point, one piece per point, built as it is written."""
+    """The rows of each grid point as one text, one piece per point, built as it is written.
+
+    A point's rows share its v0 and period texts, and every point shares
+    one table of "i," index texts, so a row is joined, not formatted.
+    """
+    indexes = list(map("%d,".__mod__, range(max(map(len, scan.samples), default=0))))
     points = zip(scan.v0_grid, scan.samples, scan.detected_periods, scan.laps or repeat(None))
     for v0, states, period, lap in points:
-        # Every sample of a point shares its v0 and period fields.
-        row = "%.17g,%%d,%%s,%d\n" % (v0, APERIODIC_CSV_MARKER if period is None else period)
-        yield list(map(row.__mod__, enumerate(_repeat_lap(_kqv_texts, states, lap))))
+        prefix = "%.17g," % v0
+        suffix = ",%d\n" % (APERIODIC_CSV_MARKER if period is None else period)
+        rows = (suffix + prefix).join(map(add, indexes, _repeat_lap(_kqv_texts, states, lap)))
+        yield [prefix + rows + suffix] if states else []
 
 
 def _scan_data(scan: BifurcationScan) -> dict:
@@ -613,11 +621,14 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     if spec.y_field not in ("k", "q", "v"):
         raise SpecError(f"bifurcation y_field must be k, q or v, got {spec.y_field!r}")
     ordinate = attrgetter(spec.y_field)
+    laps = scan.laps or repeat(None)
 
     def extremes():
-        # the range needs only the least and the greatest finite ordinate
-        for states in scan.samples:
-            finite = list(filter(math.isfinite, map(ordinate, states)))
+        # the range needs only the least and the greatest finite ordinate,
+        # which a point's first lap already holds
+        for states, lap in zip(scan.samples, laps):
+            head = states[:sum(lap)] if lap else states
+            finite = list(filter(math.isfinite, map(ordinate, head)))
             if finite:
                 yield min(finite)
                 yield max(finite)
@@ -626,7 +637,6 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     y_lim = _auto_range(list(extremes()))
     [panel] = _layout((x_lim, y_lim, "optimum velocity v0", spec.y_field))
     panel.vline(2.0, _PATH_COLOR)
-    laps = scan.laps or repeat(None)
     panel.columns(scan.v0_grid, scan.samples, laps, ordinate, _CURVE_COLOR, radius=0.7)
     return [panel]
 

@@ -13,6 +13,7 @@ from greenberg_dynamics.analysis import (
     SINK,
     SOURCE,
     _parameter_grid,
+    _period,
     bifurcation_scan,
     classify_fixed_point,
     detect_period,
@@ -166,6 +167,34 @@ class TestDetectPeriod:
             detect_period([0.1] * 20, 1e-6, 0)
 
 
+# Multiples of the tolerance: two lap samples lie apart by less than, about
+# or more than the tolerance, the boundary of each comparison.
+gap_steps = st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.0])
+
+
+@st.composite
+def whole_lap_tails(draw):
+    """(tail, tolerance, cap, L): n samples that repeat a lap of L from the first, 1 <= L <= n."""
+    n = draw(st.integers(2, 130))
+    length = draw(st.integers(1, n))
+    tolerance = draw(st.sampled_from([1e-6, 1e-3, 0.05]) | st.floats(1e-9, 0.1))
+    base = draw(st.floats(0.001, 0.8))
+    steps = draw(st.lists(gap_steps, min_size=length, max_size=length))
+    lap = [base + tolerance * step for step in steps]
+    return (lap * (n // length + 1))[:n], tolerance, draw(st.integers(1, n // 2)), length
+
+
+# bifurcation_scan compares one lap of pairs per lag on a tail of whole laps
+@pytest.mark.thorough
+@given(whole_lap_tails())
+@example(([0.3, 0.8] * 30, 1e-6, 30, 2))  # the 2-cycle of the default scan
+@example(([0.5, 0.5 + 1e-6, 0.5 + 2e-6] * 20, 1e-6, 30, 3))  # gaps at the tolerance
+@example(([0.25, 0.5, 0.25, 0.75] * 5, 0.3, 10, 4))  # period 2 within the tolerance of a lap of 4
+def test_a_whole_lap_tail_needs_one_lap_of_pairs(case):
+    tail, tolerance, cap, length = case
+    assert _period(tail, tolerance, cap, length) == detect_period(tail, tolerance, cap)
+
+
 v0_ends = st.floats(0.001, math.e) | st.sampled_from([0.05, 2.7, math.e])
 
 
@@ -267,11 +296,35 @@ class TestBifurcationScan:
         with pytest.raises(ArgumentError):
             bifurcation_scan(1.0, 1.5, 3, n_total=100, n_keep=100)
 
+    def test_rejects_a_single_kept_sample(self):
+        # a lone sample has no pair, so "aperiodic" would be a label never searched for
+        message = (
+            "^need 2 <= n_keep < n_total: a period needs two kept samples, got keep=1 total=10$"
+        )
+        with pytest.raises(ArgumentError, match=message):
+            bifurcation_scan(1.0, 1.5, 3, n_total=10, n_keep=1)
+
+    def test_a_lap_inside_the_window_keeps_every_pair(self):
+        # the tail's lap starts at its sample 52: its first 52 samples are
+        # no laps, so the period search compares all n_keep pairs per lag
+        scan = bifurcation_scan(
+            2.5356805346025695, 2.5356805346025695, 1, k0=0.1518156773639057
+        )
+        assert scan.laps == ((52, 6),)
+        assert scan.detected_periods == (None,)
+        # from 1e-12 above the unstable fixed point, the orbit is still about
+        # 1e-8 from it when the window opens and reaches its 2-cycle inside
+        # the window: the first lap of pairs alone would read period 1
+        scan = bifurcation_scan(2.2, 2.2, 1, k0=0.6347364189412819, n_keep=250)
+        assert scan.laps == ((123, 2),)
+        assert scan.detected_periods == (None,)
+        assert _period([s.k for s in scan.samples[0]], 1e-6, 64, 2) == 1
+
     @pytest.mark.parametrize("n_keep", [1, 4])
     @pytest.mark.parametrize("tolerance", [-5.0, math.nan])
     def test_rejects_a_bad_tolerance_before_the_sweep(self, n_keep, tolerance):
-        # with n_keep = 1 the scan searches no period, so detect_period never
-        # sees the tolerance
+        # n_keep = 1 is rejected too, and a scan of escaped points would
+        # never search a period: the tolerance is checked first
         with pytest.raises(ArgumentError, match=rf"^tolerance must be positive, got {tolerance}$"):
             bifurcation_scan(2.0, 2.0, 1, n_total=10, n_keep=n_keep, tolerance=tolerance)
 

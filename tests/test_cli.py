@@ -201,6 +201,19 @@ class TestOverflowExits3:
 
 
 class TestBifurcationCommand:
+    def test_one_kept_sample_exits_3(self, tmp_path, capsys):
+        # one sample has no pair to search a period in, so no label would be true
+        code = run_cli(
+            "bifurcation", "--v0-min", "1.0", "--v0-max", "1.5", "--steps", "3",
+            "--keep", "1", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: need 2 <= n_keep < n_total: a period needs two kept samples, "
+            "got keep=1 total=300\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_csv_json_and_both_svg_panels(self, tmp_path):
         code = run_cli(
             "bifurcation", "--v0-min", "2.2", "--v0-max", "2.3", "--steps", "4",

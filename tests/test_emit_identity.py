@@ -1,12 +1,14 @@
 """Byte identity of the bulk, streaming emitters against the plain per-value builders.
 
-The emitters build each CSV row and each SVG dot with one %-format, encode
-JSON arrays of numbers with json's C encoder, format JSON floats directly,
-build a scan's JSON arrays and plot columns one grid point at a time, format
-the CSV fields, the bifurcation dots and the JSON floats of an orbit or scan
-point that carries a lap up to the end of its first lap and repeat them, as
-they do a cobweb's staircase and marker dots and a sensitivity run's CSV
-fields, and map a whole point list to pixels in one pass. The references
+The emitters build each CSV row with one %-format, or join a scan's from
+texts formatted once per point and once per scan, build each SVG dot with
+one %-format, encode JSON arrays of numbers with json's C encoder, format
+JSON floats directly, build a scan's JSON arrays and plot columns one grid
+point at a time, format the CSV fields, the bifurcation dots and the JSON
+floats of an orbit or scan point that carries a lap up to the end of its
+first lap and repeat them, and read a bifurcation plot's range from there,
+as they format a cobweb's staircase and marker dots and a sensitivity run's
+CSV fields, and map a whole point list to pixels in one pass. The references
 below are the straightforward builders they replaced: ``json.dumps(indent=2)``,
 with each lazily built array as a list, one f-string with ``format(x, ".17g")``
 per CSV row, one f-string per bifurcation dot from a flat (v0, y) point list,
@@ -283,8 +285,8 @@ def scans(draw):
     exact float cycle before the kept window, so the tails repeat states.
     """
     kind = draw(st.sampled_from(["plain", "kj", "underflow", "cycles"]))
-    n_total = draw(st.integers(150, 400) if kind == "cycles" else st.integers(2, 120))
-    n_keep = draw(st.integers(1, n_total - 1))
+    n_total = draw(st.integers(150, 400) if kind == "cycles" else st.integers(3, 120))
+    n_keep = draw(st.integers(2, n_total - 1))
     steps = draw(st.integers(1, 6))
     if kind == "underflow":
         v0_max = draw(st.floats(0.001, 0.0013))
@@ -317,7 +319,8 @@ def test_bifurcation_svg_matches_reference(scan, y_field):
 
 def test_scans_with_escapes_and_periods_match_reference():
     # pinned examples of what the properties above draw: points escaped with
-    # no samples and with partial samples, and points with a detected period
+    # no samples and with partial samples, points with a detected period, and
+    # each kind of lap a point's rows and plot range are built from
     escaped = bifurcation_scan(2.25, math.e, 3, k0=INV_E, n_total=3, n_keep=2)
     assert escaped.escaped == (False, False, True) and len(escaped.samples[-1]) == 0
     partial = bifurcation_scan(0.0005, 0.0012, 3, k0=1e-300, n_total=60, n_keep=40)
@@ -329,7 +332,13 @@ def test_scans_with_escapes_and_periods_match_reference():
         write_json(partial, io.StringIO())
     periodic = bifurcation_scan(2.25, 2.3, 2, n_total=200, n_keep=20)
     assert periodic.detected_periods == (2, 2)
-    for scan in (escaped, partial, periodic):
+    # a tail of whole laps, and a tail whose lap starts inside the window
+    assert periodic.laps == ((0, 2), (0, 2))
+    inside = bifurcation_scan(2.5356805346025695, 2.5356805346025695, 1, k0=0.1518156773639057)
+    assert inside.laps == ((52, 6),)
+    # hand-built scans with no laps: each sample is formatted and ranged on its own
+    unlapped = [dataclasses.replace(scan, laps=()) for scan in (periodic, inside)]
+    for scan in (escaped, partial, periodic, inside, *unlapped):
         assert csv_text(scan) == ref_csv(ref_scan_rows, scan)
         for y_field in "kqv":
             spec = PlotSpec(y_field=y_field)
