@@ -213,8 +213,8 @@ def detect_period(
     Returns None when no period fits (aperiodic). Ties resolve to the
     smallest period by construction. Every pair is compared (``_period``).
     """
-    if not (tolerance > 0.0):
-        raise ArgumentError(f"tolerance must be positive, got {tolerance}")
+    if not (0.0 < tolerance < math.inf):
+        raise ArgumentError(f"tolerance must be a positive finite number, got {tolerance}")
     if max_period < 1:
         raise ArgumentError(f"max_period must be at least 1, got {max_period}")
     if len(samples) < 2 * max_period:
@@ -282,8 +282,8 @@ def bifurcation_scan(
     it keeps its partial samples and carries no period. The tolerance is
     checked first, even where every point escapes.
     """
-    if not (tolerance > 0.0):
-        raise ArgumentError(f"tolerance must be positive, got {tolerance}")
+    if not (0.0 < tolerance < math.inf):
+        raise ArgumentError(f"tolerance must be a positive finite number, got {tolerance}")
     if n_keep < 2 or n_keep >= n_total:
         raise ArgumentError(
             f"need 2 <= n_keep < n_total: a period needs two kept samples, "

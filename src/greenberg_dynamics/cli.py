@@ -1,7 +1,9 @@
 """Command-line front end: every analysis as a subcommand with reference-run defaults.
 
-Exit codes: 0 success (escapes only warn), 2 usage, 3 domain/argument error,
-4 I/O failure. All commands are deterministic; there is no seed anywhere.
+Exit codes: 0 success (escapes only warn), 2 argv that does not parse, 3 a
+value the library rejects, 4 I/O failure. The parser checks only that each
+number is one; its range is checked once, by the library function that uses
+it. All commands are deterministic; there is no seed anywhere.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -24,13 +25,12 @@ from .dynamics import (
     iterate,
     sensitivity_experiment,
 )
-from .errors import ArgumentError, DomainError, EscapeError
+from .errors import ArgumentError, DomainError
 from .model import TrafficParams, diagram_samples
 
 PROG = "greenberg-dyn"
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
@@ -51,27 +51,6 @@ REPRO_EXPERIMENTS = (
     ("bifurcation_scan", ("bifurcation",), ""),
     ("lyapunov_curve", ("lyapunov",), ""),
 )
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
-    return value
 
 
 @functools.cache
@@ -102,16 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fmt="all", formats=formats, prefix="")
 
     def add_grid(p, steps):
-        p.add_argument("--v0-min", type=_positive_float, default=0.05)
-        p.add_argument("--v0-max", type=_positive_float, default=2.7)
-        p.add_argument("--steps", type=_positive_int, default=steps)
+        p.add_argument("--v0-min", type=float, default=0.05)
+        p.add_argument("--v0-max", type=float, default=2.7)
+        p.add_argument("--steps", type=int, default=steps)
         p.add_argument("--k0", type=float, default=analysis.DEFAULT_SCAN_K0)
 
     p = sub.add_parser("diagram", help="fundamental diagram profiles")
     p.set_defaults(handler=_cmd_diagram)
     p.add_argument("--v0", type=float, default=1.0)
-    p.add_argument("--kj", type=_positive_float, default=1.0)
-    p.add_argument("--n", type=_positive_int, default=400, help="sample count")
+    p.add_argument("--kj", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=400, help="sample count")
     add_out(p, "csv", "json", "svg")
 
     for name, help_text, formats, handler in (
@@ -122,38 +101,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--v0", type=float, required=True)
         p.add_argument("--k0", type=float, default=0.25)
-        p.add_argument("--kj", type=_positive_float, default=1.0)
-        p.add_argument("--n", type=_positive_int, default=DEFAULT_ITERATIONS)
+        p.add_argument("--kj", type=float, default=1.0)
+        p.add_argument("--n", type=int, default=DEFAULT_ITERATIONS)
         add_out(p, *formats)
 
     p = sub.add_parser("classify", help="fixed point, multiplier and stability")
     p.set_defaults(handler=_cmd_classify)
     p.add_argument("--v0", type=float, required=True)
-    p.add_argument("--kj", type=_positive_float, default=1.0)
+    p.add_argument("--kj", type=float, default=1.0)
     p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
 
     p = sub.add_parser("bifurcation", help="attractor samples over a v0 grid")
     p.set_defaults(handler=_cmd_bifurcation)
     add_grid(p, 1000)
     p.add_argument(
-        "--n", dest="n_total", metavar="N", type=_positive_int,
+        "--n", dest="n_total", metavar="N", type=int,
         default=analysis.DEFAULT_SCAN_TOTAL, help="iterations per point",
     )
     p.add_argument(
-        "--keep", dest="n_keep", metavar="KEEP", type=_positive_int,
+        "--keep", dest="n_keep", metavar="KEEP", type=int,
         default=analysis.DEFAULT_SCAN_KEEP,
     )
-    p.add_argument(
-        "--tolerance", type=_positive_float, default=analysis.DEFAULT_PERIOD_TOLERANCE
-    )
+    p.add_argument("--tolerance", type=float, default=analysis.DEFAULT_PERIOD_TOLERANCE)
     add_out(p, "csv", "json", "svg")
 
     p = sub.add_parser("lyapunov", help="Lyapunov exponent over a v0 grid")
     p.set_defaults(handler=_cmd_lyapunov)
     add_grid(p, 200)
-    p.add_argument("--n", type=_positive_int, default=analysis.DEFAULT_LYAPUNOV_TERMS)
+    p.add_argument("--n", type=int, default=analysis.DEFAULT_LYAPUNOV_TERMS)
     p.add_argument(
-        "--transient", dest="n_transient", metavar="TRANSIENT", type=_non_negative_int,
+        "--transient", dest="n_transient", metavar="TRANSIENT", type=int,
         default=analysis.DEFAULT_LYAPUNOV_TRANSIENT,
     )
     add_out(p, "csv", "json", "svg")
@@ -163,13 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--k0", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=DEFAULT_SENSITIVITY_DELTA)
-    p.add_argument("--kj", type=_positive_float, default=1.0)
-    p.add_argument("--n", type=_positive_int, default=DEFAULT_ITERATIONS)
+    p.add_argument("--kj", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument(
         "--tolerance",
         dest="threshold",
         metavar="TOLERANCE",
-        type=_positive_float,
+        type=float,
         default=DEFAULT_SENSITIVITY_THRESHOLD,
         help="separation threshold marking divergence",
     )
@@ -350,7 +327,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
-    except (DomainError, ArgumentError, EscapeError) as exc:
+    except (DomainError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

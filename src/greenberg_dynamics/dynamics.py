@@ -312,8 +312,8 @@ def sensitivity_experiment(
     ``threshold``, or None if the orbits never part that far. The separation
     sequence has the length of the shorter orbit.
     """
-    if not (threshold > 0.0):
-        raise ArgumentError(f"threshold must be positive, got {threshold}")
+    if not (0.0 < threshold < math.inf):
+        raise ArgumentError(f"threshold must be a positive finite number, got {threshold}")
     orbit_a = iterate(k0, p, n)
     orbit_b = iterate(k0 + delta, p, n)
     separation = tuple(abs(a.k - b.k) for a, b in zip(orbit_a.states, orbit_b.states))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, example, given
@@ -161,8 +162,9 @@ class TestDetectPeriod:
             detect_period([0.1, 0.2, 0.3], 1e-6, 8)
 
     def test_rejects_bad_tolerance_and_period(self):
-        with pytest.raises(ArgumentError):
-            detect_period([0.1] * 20, 0.0, 4)
+        for tolerance in (0.0, math.inf):
+            with pytest.raises(ArgumentError, match="^tolerance must be a positive finite number"):
+                detect_period([0.1] * 20, tolerance, 4)
         with pytest.raises(ArgumentError):
             detect_period([0.1] * 20, 1e-6, 0)
 
@@ -321,17 +323,79 @@ class TestBifurcationScan:
         assert _period([s.k for s in scan.samples[0]], 1e-6, 64, 2) == 1
 
     @pytest.mark.parametrize("n_keep", [1, 4])
-    @pytest.mark.parametrize("tolerance", [-5.0, math.nan])
+    @pytest.mark.parametrize("tolerance", [-5.0, math.nan, math.inf])
     def test_rejects_a_bad_tolerance_before_the_sweep(self, n_keep, tolerance):
         # n_keep = 1 is rejected too, and a scan of escaped points would
-        # never search a period: the tolerance is checked first
-        with pytest.raises(ArgumentError, match=rf"^tolerance must be positive, got {tolerance}$"):
+        # never search a period: the tolerance is checked first. An infinite
+        # tolerance would label every point, chaotic ones too, period 1.
+        message = rf"^tolerance must be a positive finite number, got {tolerance}$"
+        with pytest.raises(ArgumentError, match=message):
             bifurcation_scan(2.0, 2.0, 1, n_total=10, n_keep=n_keep, tolerance=tolerance)
 
     @pytest.mark.parametrize("k0", [0.0, 1.0, math.nan])
     def test_rejects_an_initial_density_outside_the_domain(self, k0):
         with pytest.raises(DomainError, match=r"^scan initial density must lie in \(0, 1\.0\)"):
             bifurcation_scan(1.0, 1.5, 3, k0=k0)
+
+
+# The period-3 window, from ROADMAP item 6's continuation: the saddle-node
+# (v0, k) where the 3-cycle is born with multiplier +1, the superstable v0
+# where kj/e lies on it, and the v0 where it flips to 6.
+PERIOD_3_SADDLE_NODE = (2.672164558011477, 0.37742020758069134)
+PERIOD_3_SUPERSTABLE = 2.673069710493294
+PERIOD_3_FLIP = 2.675581089170799
+
+
+def third_iterate(v0, k):
+    """f^3(k) and its slope (f^3)'(k) for kj = 1, in the current decimal context."""
+    slope = Decimal(1)
+    for _ in range(3):
+        log = (1 / k).ln()
+        slope *= v0 * (log - 1)
+        k = v0 * k * log
+    return k, slope
+
+
+def test_the_period_three_branch_points_solve_their_equations():
+    # each printed parameter is read as the decimal it prints; at 50 digits
+    # the residuals measured -9.9e-16, 1 + 2.6e-15, 2.8e-15 and -1 - 1.9e-14
+    within = Decimal("1e-12")
+    with localcontext() as context:
+        context.prec = 50
+        v0, k = (Decimal(repr(x)) for x in PERIOD_3_SADDLE_NODE)
+        image, slope = third_iterate(v0, k)
+        assert abs(image - k) < within and abs(slope - 1) < within
+        peak = Decimal(-1).exp()
+        image, _ = third_iterate(Decimal(repr(PERIOD_3_SUPERSTABLE)), peak)
+        assert abs(image - peak) < within
+        # Newton on f^3(k) = k from kj/e finds the 3-cycle point at the flip
+        v0, k = Decimal(repr(PERIOD_3_FLIP)), peak
+        for _ in range(20):
+            image, slope = third_iterate(v0, k)
+            k -= (image - k) / (slope - 1)
+        image, slope = third_iterate(v0, k)
+        assert abs(image - k) < Decimal("1e-45")
+        assert abs(k - Decimal("0.35894773000406")) < within
+        assert abs(slope + 1) < within
+
+
+@pytest.mark.parametrize(
+    "v0, period",
+    [
+        (2.6721, None),
+        (2.6723, 3),
+        (2.673, 3),
+        (2.674, 3),
+        (2.6755, 3),
+        (2.6757, 6),
+        (2.676, 6),
+    ],
+)
+def test_scan_labels_across_the_period_three_window(v0, period):
+    # the label is 3 exactly between the saddle-node and the flip
+    assert (PERIOD_3_SADDLE_NODE[0] < v0 < PERIOD_3_FLIP) == (period == 3)
+    scan = bifurcation_scan(v0, v0, 1, n_total=4000, n_keep=256)
+    assert scan.detected_periods == (period,)
 
 
 class TestLyapunovExponent:

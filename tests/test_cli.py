@@ -18,7 +18,8 @@ from greenberg_dynamics.cli import main
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REPRO_SHA256 = PERFBENCH / "repro_sha256.json"
 
-# Exit codes are asserted literally: 0 success, 2 usage, 3 domain, 4 I/O.
+# Exit codes are asserted literally: 0 success, 2 argv that does not parse,
+# 3 a value the library rejects, 4 I/O.
 
 
 def run_cli(*argv):
@@ -75,16 +76,14 @@ class TestUsageErrors:
             run_cli("orbit")
         assert exc.value.code == 2
 
-    def test_nonpositive_count(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("orbit", "--v0", "1.0", "--n", "0")
-        assert exc.value.code == 2
+    # A number parses; its range is the library's to check, so it exits 3.
+    def test_nonpositive_count(self, capsys):
+        assert run_cli("orbit", "--v0", "1.0", "--n", "0") == 3
+        assert capsys.readouterr().err == "error: need at least one iteration, got 0\n"
 
     def test_nonpositive_jam_density(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("orbit", "--v0", "1", "--kj", "-1")
-        assert exc.value.code == 2
-        assert "must be a positive number, got -1" in capsys.readouterr().err
+        assert run_cli("orbit", "--v0", "1", "--kj", "-1") == 3
+        assert capsys.readouterr().err == "error: kj must be finite and positive, got -1.0\n"
 
     def test_unsupported_format(self):
         with pytest.raises(SystemExit) as exc:
@@ -313,10 +312,11 @@ class TestLyapunovCommand:
         assert rows == ["0.00050000000000000001,,0,0", "0.00059999999999999995,,0,0"]
 
     def test_rejects_a_negative_transient(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("lyapunov", "--transient", "-1", "--out", str(tmp_path))
-        assert exc.value.code == 2
-        assert "must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert run_cli("lyapunov", "--transient", "-1", "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err == (
+            "error: transient length must be non-negative, got -1\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSensitivityCommand:
@@ -334,6 +334,74 @@ class TestSensitivityCommand:
         )
         assert code == 0
         assert "no divergence" in capsys.readouterr().out
+
+
+# Small runs of every subcommand that takes a range-checked number. The
+# parser checks only that a number is one (exit 2 if not); the library
+# function that uses it checks its range (exit 3, one error line, no file).
+RANGE_RUNS = {
+    "diagram": "diagram --n 50",
+    "orbit": "orbit --v0 2.585 --n 50",
+    "cobweb": "cobweb --v0 2.585 --n 50",
+    "classify": "classify --v0 1",
+    "sensitivity": "sensitivity --v0 2.585 --n 50",
+    "sensitivity-csv": "sensitivity --v0 2.585 --n 50 --format csv",
+    "bifurcation": "bifurcation --v0-min 2.2 --v0-max 2.3 --steps 2 --n 50 --keep 10",
+    "bifurcation-csv": (
+        "bifurcation --v0-min 2.2 --v0-max 2.3 --steps 2 --n 50 --keep 10 --format csv"
+    ),
+    "lyapunov": "lyapunov --v0-min 1.2 --v0-max 1.4 --steps 2 --n 1000 --transient 10",
+}
+# (run, flag, its type, a valid value, the edge values that are in range).
+# -inf is left out: argparse reads it as an option.
+RANGE_FLAGS = [
+    *((run, "--kj", float, "2", ()) for run in ("diagram", "orbit", "cobweb", "sensitivity")),
+    ("classify", "--kj", float, "2", ("1e-320",)),
+    *((run, "--n", int, "50", ()) for run in ("diagram", "orbit", "cobweb", "sensitivity")),
+    ("bifurcation", "--n", int, "40", ()),
+    ("lyapunov", "--n", int, "1200", ()),
+    *((run, "--v0-min", float, "1.3", ("1e-320",)) for run in ("bifurcation", "lyapunov")),
+    *((run, "--v0-max", float, "2.7", ()) for run in ("bifurcation", "lyapunov")),
+    *((run, "--steps", int, "3", ()) for run in ("bifurcation", "lyapunov")),
+    ("bifurcation", "--keep", int, "20", ()),
+    ("lyapunov", "--transient", int, "5", ("0",)),
+    *(
+        (run, "--tolerance", float, "1e-3", ("1e-320",))
+        for run in ("bifurcation", "bifurcation-csv", "sensitivity", "sensitivity-csv")
+    ),
+]
+EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-320", "abc")
+
+
+def range_cases():
+    for run, flag, flag_type, valid, in_range in RANGE_FLAGS:
+        for value in (*EDGE_VALUES, valid):
+            try:
+                flag_type(value)
+            except ValueError:
+                expected = 2
+            else:
+                expected = 0 if value == valid or value in in_range else 3
+            yield pytest.param(run, flag, value, expected, id=f"{run} {flag} {value}")
+
+
+def exit_code(*argv):
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("run, flag, value, expected", range_cases())
+def test_the_library_decides_every_range(run, flag, value, expected, tmp_path, capsys):
+    argv = [*RANGE_RUNS[run].split(), flag, value]
+    if run != "classify":
+        argv += ["--out", str(tmp_path)]
+    assert exit_code(*argv) == expected
+    if expected == 3:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -199,8 +199,10 @@ class TestSensitivityExperiment:
         )
 
     def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ArgumentError):
-            sensitivity_experiment(0.1, 1e-3, TrafficParams(v0=1.0), n=10, threshold=0.0)
+        # an infinite threshold would report no divergence for any pair of orbits
+        for threshold in (0.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError, match="^threshold must be a positive finite number"):
+                sensitivity_experiment(0.1, 1e-3, TrafficParams(v0=1.0), n=10, threshold=threshold)
 
     def test_rejects_offset_leaving_the_domain(self):
         with pytest.raises(DomainError):
