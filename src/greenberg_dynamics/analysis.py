@@ -228,12 +228,16 @@ def detect_period(
 def _period(samples: Sequence[float], tolerance: float, cap: int, pairs: int) -> int | None:
     """Smallest p <= cap with |x[i+p] - x[i]| < tolerance for each i < pairs that has an x[i+p].
 
-    Unchecked. Samples that repeat every L from the first need only L pairs
-    per lag: each later pair holds the same two floats as the pair L before it.
+    Unchecked; pairs is at least 1. Samples that repeat every L from the
+    first need only L pairs per lag: each later pair holds the same two
+    floats as the pair L before it. A lag whose first pair fails fails, so
+    that pair is tested before the rest.
     """
-    head = samples[:pairs]
+    head, first = samples[:pairs], samples[0]
     for p in range(1, cap + 1):
-        if all(abs(b - a) < tolerance for a, b in zip(head, samples[p:])):
+        if abs(samples[p] - first) < tolerance and all(
+            abs(b - a) < tolerance for a, b in zip(head, samples[p:])
+        ):
             return p
     return None
 

@@ -8,24 +8,28 @@ always produce byte-identical documents.
 Each format builds its document as text pieces, and ``_write`` writes every
 document a piece at a time, so beyond the scan itself, a scan's documents
 hold one grid point at a time: its CSV is its header, then a piece per grid
-point, its JSON a piece per point's array of samples, each array built only
-when it is written (``_Lazy``), and its bifurcation plot a piece per column
-of dots, drawn by one generator over the scan (``_Panel.columns``). Smaller
-documents are one piece, one join and one write, past a CSV's header, which
-is always a piece of its own. The cost of a document is formatting numbers.
-An orbit's or scan point's CSV fields, dots and JSON floats, a cobweb's
-staircase and marker dots, and a sensitivity run's CSV fields are formatted
-up to the end of the lap their result carries (``Orbit.lap``,
-``BifurcationScan.laps``) and repeated, and a bifurcation plot takes its
+point, its JSON a piece per point's array of samples, each read from the
+scan when it is written (``_Arrays``), and its bifurcation plot a piece per
+column of dots, drawn by one generator over the scan (``_Panel.columns``).
+Smaller documents are one piece, one join and one write, past a CSV's
+header, which is always a piece of its own. The cost of a document is
+formatting numbers. An orbit's or scan point's CSV fields, dots and JSON
+floats, a cobweb's staircase and marker dots, and a sensitivity run's CSV
+fields are formatted up to the end of the lap their result carries
+(``Orbit.lap``, ``BifurcationScan.laps``), and a bifurcation plot takes its
 range from each point's states up to there; a list carries its lap as a
-``_Values``. The staircase's lap is (2 * start + 1, 2 * length), and the
-separation's is the joint lap of both orbits (``_separation_lap``). With no
-lap, each sample is formatted. What remains is one %-format per CSV row of
-the other payloads, while a scan's rows are joined from texts formatted once:
-each point's v0 and period, and one table of sample indexes per scan; one
-%-format per point of every other polyline (the diagram curves and the
-traces against v0 or the iteration), each point list mapped to pixels in one
-pass (``_Panel.pixels``); and json's C encoder for every other array of numbers.
+``_Values``. An array's or a plot's texts are joined to the end of the lap
+and the lap's text is repeated (``_join_lap``); a CSV repeats the lap's
+fields, since its rows' indexes differ. The staircase's lap is
+(2 * start + 1, 2 * length), and the separation's is the joint lap of both
+orbits (``_separation_lap``). With no lap, each sample is formatted. What
+remains is one %-format per CSV row of the other payloads, while a scan's
+rows are joined from texts formatted once: each point's v0 and period, and
+one table of sample indexes per scan; one %-format per point of every other
+polyline (the diagram curves and the traces against v0 or the iteration),
+each point list mapped to pixels in one pass (``_Panel.pixels``); and json's
+C encoder for every other array of numbers. A NaN or infinity has no CSV or
+JSON text: the writer raises DomainError naming the document's kind.
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -40,7 +44,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain, groupby, repeat
-from operator import add, attrgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -97,17 +101,19 @@ class _Schema:
     panels: Callable  # (spec, payload) -> the SVG panels
 
 
-class _Lazy:
-    """A JSON array whose element for each item is built when the walker reaches it."""
+class _Arrays:
+    """A JSON array of number arrays: per row of items, the value ``get`` reads from each.
 
-    def __init__(self, items: Sequence, build: Callable):
-        self.items, self.build = items, build
+    Each row's lap, (start, length) as in ``Orbit.lap``, or None, says how
+    its values repeat, so only the items up to the end of the lap are read.
+    A row's array is built when the walker reaches it.
+    """
+
+    def __init__(self, rows: Sequence[Sequence], laps: Iterable, get: Callable):
+        self.rows, self.laps, self.get = rows, laps, get
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator:
-        return map(self.build, self.items)
+        return len(self.rows)
 
 
 class _Values(list):
@@ -123,17 +129,45 @@ class _Values(list):
         self.lap = lap
 
 
+def _finite(texts: list[str]) -> list[str]:
+    """CSV texts of %g and %d fields, as given; a NaN or infinity among them raises DomainError.
+
+    Such a text holds an "n" only in "nan" or "inf", so one search of the
+    joined texts finds them.
+    """
+    if "n" in "".join(texts):
+        raise DomainError("NaN and infinities have no CSV text")
+    return texts
+
+
 def _kqv_texts(states: Sequence[TrafficState]) -> list[str]:
     """The "k,q,v" CSV fields of each state."""
-    return list(map("%.17g,%.17g,%.17g".__mod__, map(attrgetter("k", "q", "v"), states)))
+    return _finite(list(map("%.17g,%.17g,%.17g".__mod__, map(attrgetter("k", "q", "v"), states))))
+
+
+def _join_lap(sep: str, texts: Sequence[str], n: int, lap: tuple[int, int] | None) -> str:
+    """sep.join of n texts that repeat ``lap``, given the texts up to the end of the lap.
+
+    ``lap`` is (start, length) or None, as in ``Orbit.lap``; with None,
+    ``texts`` holds all n. The lap's texts are joined once and the joined
+    text repeated.
+    """
+    if lap is None or n <= sum(lap):
+        return sep.join(texts)
+    start, length = lap
+    laps, rest = divmod(n - start, length)
+    cycle = sep.join(texts[start:])
+    laps_text = (cycle + sep) * (laps - 1) + cycle
+    return sep.join([*texts[:start], laps_text, *texts[start:start + rest]])
 
 
 def _write(pieces, destination) -> int:
     """Write each text piece to the destination; returns the UTF-8 byte count.
 
     A stream is written as is. A path's file gets "\\n" line ends on every
-    platform, and is removed if building, writing or closing the document
-    raises, interrupts included, so a failed document leaves no file.
+    platform. If building, writing or closing the document raises,
+    interrupts included, a regular file at the path is removed, so a failed
+    document leaves no file; a FIFO, a device or a symlink stays.
     """
     if not hasattr(destination, "write"):
         out = open(destination, "w", encoding="utf-8", newline="")
@@ -141,7 +175,9 @@ def _write(pieces, destination) -> int:
             with out:
                 return _write(pieces, out)
         except BaseException:
-            Path(destination).unlink(missing_ok=True)
+            path = Path(destination)
+            if not path.is_symlink() and path.is_file():
+                path.unlink(missing_ok=True)
             raise
     size = 0
     for piece in pieces:
@@ -195,44 +231,48 @@ def _diagram_data(payload: DiagramPayload) -> dict:
 
 
 def _scan_rows(scan: BifurcationScan) -> Iterator[list[str]]:
-    """The rows of each grid point as one text, one piece per point, built as it is written.
+    """The texts of each grid point's rows, one piece per point, built as it is written.
 
     A point's rows share its v0 and period texts, and every point shares
-    one table of "i," index texts, so a row is joined, not formatted.
+    one table of "i," index texts, so a point's rows are one join of
+    texts: its v0, then per row an index, the "k,q,v" fields, which repeat
+    its lap, and the period and the next row's v0.
     """
     indexes = list(map("%d,".__mod__, range(max(map(len, scan.samples), default=0))))
     points = zip(scan.v0_grid, scan.samples, scan.detected_periods, scan.laps or repeat(None))
     for v0, states, period, lap in points:
+        if not states:
+            yield []
+            continue
         prefix = "%.17g," % v0
         suffix = ",%d\n" % (APERIODIC_CSV_MARKER if period is None else period)
-        rows = (suffix + prefix).join(map(add, indexes, _repeat_lap(_kqv_texts, states, lap)))
-        yield [prefix + rows + suffix] if states else []
+        texts = [suffix + prefix] * (3 * len(states) + 1)
+        texts[0] = prefix
+        texts[1::3] = indexes[:len(states)]
+        texts[2::3] = _repeat_lap(_kqv_texts, states, lap)
+        texts[-1] = suffix
+        yield texts
 
 
 def _scan_data(scan: BifurcationScan) -> dict:
-    points = list(zip(scan.samples, scan.laps or repeat(None)))
-
-    def arrays(get: Callable) -> _Lazy:
-        return _Lazy(points, lambda point: _Values(map(get, point[0]), point[1]))
-
+    laps = scan.laps or repeat(None)
     return {
         "v0": scan.v0_grid,
         "k0": [scan.settings.k0] * len(scan.v0_grid),
         "detected_period": scan.detected_periods,
         "escaped": scan.escaped,
-        **{axis: arrays(attrgetter(axis)) for axis in "kqv"},
+        **{axis: _Arrays(scan.samples, laps, attrgetter(axis)) for axis in "kqv"},
     }
 
 
 def _curve_rows(curve: LyapunovCurve) -> list[list[str]]:
-    return [[
+    rows = zip(curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms)
+    return [_finite([
         "%.17g,,%d,%d\n" % (v0, terms, skipped)
         if lam is None
         else "%.17g,%.17g,%d,%d\n" % (v0, lam, terms, skipped)
-        for v0, lam, terms, skipped in zip(
-            curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms
-        )
-    ]]
+        for v0, lam, terms, skipped in rows
+    ])]
 
 
 def _curve_data(curve: LyapunovCurve) -> dict:
@@ -254,7 +294,9 @@ def _sensitivity_rows(result: SensitivityResult) -> list[list[str]]:
     a, b, k = result.orbit_a.states, result.orbit_b.states, attrgetter("k")
     triples = list(zip(map(k, a), map(k, b), result.separation))
     fmt = "%.17g,%.17g,%.17g".__mod__
-    fields = _repeat_lap(lambda head: list(map(fmt, head)), triples, _separation_lap(result))
+    fields = _repeat_lap(
+        lambda head: _finite(list(map(fmt, head))), triples, _separation_lap(result)
+    )
     return [list(map("%d,%s\n".__mod__, enumerate(fields)))]
 
 
@@ -292,11 +334,16 @@ def write_csv(payload, destination) -> int:
 
     The header is the first piece, then each piece of rows goes out in one
     write: a scan has one piece per grid point, the other payloads one piece.
+    A NaN or infinity, such as a flow that overflowed, raises DomainError;
+    the file at a path destination is then removed, while a stream keeps
+    the text written before it.
     """
     schema = _schema_of(payload, "CSV")
-    return _write(
-        chain([schema.header + "\n"], map("".join, schema.rows(payload))), destination
-    )
+    try:
+        pieces = chain([schema.header + "\n"], map("".join, schema.rows(payload)))
+        return _write(pieces, destination)
+    except DomainError as exc:
+        raise DomainError(f"{schema.kind} document holds a non-finite number") from exc
 
 
 def envelope(kind: str, settings: dict, data: dict) -> dict:
@@ -337,25 +384,54 @@ def _dumps(obj) -> str:
         raise DomainError("NaN and infinities have no JSON text") from exc
 
 
+def _array_text(values: Sequence, n: int, lap, depth: int) -> str | None:
+    """The text, ``depth`` deep, of n numbers, bools and Nones that repeat ``lap``, or None.
+
+    ``values`` holds them up to the end of the lap, or all n with no lap;
+    their texts are joined by ``_join_lap``. Floats are formatted each, and
+    since a float's text holds an "n" only in "nan" or "inf", one search of
+    the joined text rejects NaN and infinities. Any other list goes to the
+    C encoder in one call (``_dumps``), which rejects them too; with no
+    string inside, every ", " of its text separates two values. None comes
+    back if a value is anything else, such as a string or a container.
+    """
+    if not n:
+        return "[]"
+    sep = ",\n" + "  " * (depth + 1)
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:
+        if not set(map(type, values)) <= _JSON_SCALARS:
+            return None
+        body = _join_lap(sep, _dumps(values)[1:-1].split(", "), n, lap)
+    else:
+        body = _join_lap(sep, texts, n, lap)
+        if "n" in body:
+            raise DomainError("NaN and infinities have no JSON text")
+    return "".join(("[", sep[1:], body, "\n", "  " * depth, "]"))
+
+
 def _json_parts(obj, depth: int, parts: list[str]) -> Iterator[str]:
     """Append the text of ``obj`` nested ``depth`` deep to ``parts``, yielding pieces.
 
     json ignores its C encoder once ``indent`` is set. Here dicts (with str
     keys) and lists holding anything but numbers, bools and None are walked
     in Python, and the text is joined once per piece, not copied at every
-    level. A list of such containers, and a ``_Lazy`` array, like the sample
-    arrays of a scan's grid points, yields the parts held so far as one
-    piece after each element, so a document is a piece per element, and one
-    piece if it has no such list. The element types of a list are read once,
-    in C, up to the end of a ``_Values`` list's lap, past which texts
-    repeat; a ``_Lazy`` array is not read ahead, so each element is built
-    only when it is walked. A list of finite floats joins their texts. Any
-    other list of numbers, bools and None goes to the C encoder in one call
-    (``_dumps``), which rejects NaN and infinities; with no string inside,
-    every ", " in its text is a separator and becomes the indented line
-    break.
+    level. Every other list, and each row of an ``_Arrays``, is one text
+    (``_array_text``), formatted up to the end of a ``_Values`` list's or a
+    row's lap and repeated past it. An ``_Arrays`` reads a row only when it
+    is reached and yields the parts held so far as one piece after each row,
+    so a scan's document is a piece per grid point and axis, and any other
+    document one piece. A row holding anything but numbers, bools and None
+    is walked whole.
     """
-    if not isinstance(obj, (dict, list, tuple, _Lazy)):
+    if isinstance(obj, (list, tuple)):
+        lap = obj.lap if isinstance(obj, _Values) else None
+        text = _array_text(obj[:sum(lap)] if lap else obj, len(obj), lap, depth)
+        if text is not None:
+            parts.append(text)
+            return
+    elif not isinstance(obj, (dict, _Arrays)):
         parts.append(_dumps(obj))
         return
     if not obj:
@@ -372,20 +448,23 @@ def _json_parts(obj, depth: int, parts: list[str]) -> Iterator[str]:
         parts.append("\n" + "  " * depth + "}")
         return
     parts.append("[")
-    lap = getattr(obj, "lap", None)
-    head = obj if lap is None else obj[:sum(lap)]
-    kinds = {_Lazy} if isinstance(obj, _Lazy) else set(map(type, head))
-    if kinds == {float} and all(map(math.isfinite, head)):
-        texts = _repeat_lap(lambda xs: list(map(float.__repr__, xs)), obj, lap)
-        parts += (inner, ("," + inner).join(texts))
-    elif kinds <= _JSON_SCALARS:
-        parts += (inner, _dumps(obj)[1:-1].replace(", ", "," + inner))
+    if isinstance(obj, _Arrays):
+        get = obj.get
+        for row, lap in zip(obj.rows, obj.laps):
+            parts.append(sep)
+            head = row[:sum(lap)] if lap else row
+            text = _array_text(list(map(get, head)), len(row), lap, depth + 1)
+            if text is None:
+                yield from _json_parts(list(map(get, row)), depth + 1, parts)
+            else:
+                parts.append(text)
+            yield "".join(parts)
+            parts.clear()
+            sep = "," + inner
     else:
         for x in obj:
             parts.append(sep)
             yield from _json_parts(x, depth + 1, parts)
-            yield "".join(parts)
-            parts.clear()
             sep = "," + inner
     parts.append("\n" + "  " * depth + "]")
 
@@ -431,9 +510,10 @@ class _Panel:
         self.y0, self.y1 = y_lim
         self.x_label, self.y_label = x_label, y_label
         self.clip_id = clip_id
-        # Each element is a line, or a callable that draws pieces of lines
-        # when the document is written (``write_svg``), drawn where ``pixels`` maps.
-        self.elements: list[str | Callable[[], Iterator[Iterable[str]]]] = []
+        # Each element is a text of lines, or a callable that draws pieces of
+        # text, each ending in a line break, when the document is written
+        # (``write_svg``), drawn where ``pixels`` maps.
+        self.elements: list[str | Callable[[], Iterator[str]]] = []
 
     def pixels(self, points) -> list[tuple[float, float]]:
         """The pixel of each (x, y) point: the panel's one mapping, inlined in ``columns``."""
@@ -443,15 +523,16 @@ class _Panel:
             (left + (x - x0) / dx * width, bottom - (y - y0) / dy * height) for x, y in points
         ]
 
-    def texts(self, fmt: str, points) -> Iterable[str]:
-        """fmt % (x, y) of each point's pixel, built up to the end of a ``_Values`` lap."""
-        lap = getattr(points, "lap", None)
-        return _repeat_lap(lambda head: list(map(fmt.__mod__, self.pixels(head))), points, lap)
+    def text(self, fmt: str, sep: str, points) -> str:
+        """sep.join of fmt % (x, y) of each point's pixel, formatted to a ``_Values`` lap's end."""
+        lap = points.lap if isinstance(points, _Values) else None
+        head = points[:sum(lap)] if lap else points
+        return _join_lap(sep, list(map(fmt.__mod__, self.pixels(head))), len(points), lap)
 
     def polyline(self, points, color, width=1.3, dash=None):
         if len(points) < 2:
             return
-        coords = " ".join(self.texts("%.2f,%.2f", points))
+        coords = self.text("%.2f,%.2f", " ", points)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -459,14 +540,16 @@ class _Panel:
         )
 
     def dots(self, points, color, radius=2.0):
-        dot = '<circle cx="%%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (radius, color)
-        self.elements += self.texts(dot, points)
+        if points:
+            dot = '<circle cx="%%.2f" cy="%%.2f" r="%s" fill="%s"/>' % (radius, color)
+            self.elements.append(self.text(dot, "\n", points))
 
     def columns(self, xs, samples, laps, ordinate, color, radius):
         """A column of dots at each abscissa, one per state, formatted up to the end of its lap.
 
         The columns are one drawing, which yields a piece of the document
-        per non-empty column when the document is written. The drawing keeps
+        per non-empty column when the document is written, its lap's lines
+        joined once and repeated (``_join_lap``). The drawing keeps
         the mapping of x and y, bit for bit what pixels gives, but not the
         panel, which keeps the drawing: that cycle would keep the scan alive
         until the garbage collector ran. With no state to draw, the panel is
@@ -476,19 +559,16 @@ class _Panel:
             return
         left, x0, dx, width = self.left, self.x0, self.x1 - self.x0, self.width
         bottom, y0, dy, height = self.top + self.height, self.y0, self.y1 - self.y0, self.height
-        dot = '<circle cx="%%.2f" cy="%%%%.2f" r="%s" fill="%s"/>' % (radius, color)
+        dot = '<circle cx="%%.2f" cy="%%%%.2f" r="%s" fill="%s"/>\n' % (radius, color)
 
-        def draw() -> Iterator[Iterable[str]]:
+        def draw() -> Iterator[str]:
             for x, states, lap in zip(xs, samples, laps):
                 if not states:
                     continue
                 column = dot % (left + (x - x0) / dx * width)
-
-                def circles(head):
-                    ys = map(ordinate, head)
-                    return [column % (bottom - (y - y0) / dy * height) for y in ys]
-
-                yield _repeat_lap(circles, states, lap)
+                ys = map(ordinate, states[:sum(lap)] if lap else states)
+                circles = [column % (bottom - (y - y0) / dy * height) for y in ys]
+                yield _join_lap("", circles, len(states), lap)
 
         self.elements.append(draw)
 
@@ -723,10 +803,9 @@ def write_svg(spec: PlotSpec, payload, destination) -> int:
     for panel in schema.panels(spec, payload):
         lines += panel.lines()
     lines.append("</svg>")
-    pieces = (
-        "\n".join([*piece, ""])
+    pieces = chain.from_iterable(
+        chain.from_iterable(draw() for draw in run) if deferred else ["\n".join([*run, ""])]
         for deferred, run in groupby(lines, callable)
-        for piece in (chain.from_iterable(draw() for draw in run) if deferred else [run])
     )
     return _write(pieces, destination)
 

@@ -197,6 +197,38 @@ def test_a_whole_lap_tail_needs_one_lap_of_pairs(case):
     assert _period(tail, tolerance, cap, length) == detect_period(tail, tolerance, cap)
 
 
+def naive_period(samples, tolerance, cap, pairs):
+    """The rule of ``_period`` as a plain loop over every lag and every pair."""
+    for p in range(1, cap + 1):
+        if all(
+            abs(samples[i + p] - samples[i]) < tolerance
+            for i in range(min(pairs, len(samples) - p))
+        ):
+            return p
+    return None
+
+
+@st.composite
+def period_cases(draw):
+    """(samples, tolerance, cap, pairs) over a pool where pairs lie apart by less than,
+    exactly or more than the tolerance 0.25, or hold a NaN."""
+    samples = draw(
+        st.lists(st.sampled_from([0.5, 0.625, 0.75, 1.0, math.nan]), min_size=2, max_size=40)
+    )
+    cap = draw(st.integers(1, len(samples) // 2))
+    return samples, 0.25, cap, draw(st.integers(1, len(samples)))
+
+
+@given(period_cases())
+@example(([0.5, 0.5, 0.5, 0.625, 1.0, 0.5], 0.25, 3, 6))  # first pairs pass, later ones fail
+@example(([0.5, 0.75, 0.5, 0.75], 0.25, 2, 4))  # a pair exactly at the tolerance fails
+@example(([0.5, 0.75] * 3, 0.25, 3, 1))  # only the pairs of the first sample count
+@example(([math.nan, 0.5, math.nan, 0.5], 0.25, 2, 4))  # a NaN pair fails every lag
+@example(([0.5, 0.5, 0.5, math.nan, 0.5, 0.5], 0.25, 3, 6))  # ... also after passing pairs
+def test_period_search_matches_a_naive_loop_over_all_pairs(case):
+    assert _period(*case) == naive_period(*case)
+
+
 v0_ends = st.floats(0.001, math.e) | st.sampled_from([0.05, 2.7, math.e])
 
 

@@ -176,7 +176,23 @@ class TestOverflowExits3:
         assert run_cli(*argv, "--out", str(tmp_path)) == 3
         out, err = capsys.readouterr()
         assert err.splitlines()[-1] == f"error: {kind} document holds a non-finite number"
-        # the CSV written before the JSON failed is removed and never reported
+        # the CSV fails first, as the JSON would: no file is left or reported
+        assert "wrote" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            # rows such as 0.0001,9.2103403719761842e+304,inf were written
+            (("diagram", "--v0", "1e308"), "diagram"),
+            # kj / k overflows at the first state: 0,0.25,inf,inf,1 was written
+            (("orbit", "--v0", "2.585", "--kj", "1e308"), "orbit"),
+        ],
+    )
+    def test_csv_of_an_overflowed_run(self, argv, kind, tmp_path, capsys):
+        assert run_cli(*argv, "--format", "csv", "--out", str(tmp_path)) == 3
+        out, err = capsys.readouterr()
+        assert err.splitlines()[-1] == f"error: {kind} document holds a non-finite number"
         assert "wrote" not in out
         assert list(tmp_path.iterdir()) == []
 

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import stat
+import threading
 import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
@@ -367,6 +369,40 @@ class TestWrite:
         with pytest.raises(KeyboardInterrupt):
             emit._write(self.interrupted(), out)
         assert out.getvalue() == "é<\n"
+
+    @pytest.mark.parametrize(
+        "write, error, sent",
+        [
+            (lambda out: emit._write(TestWrite.interrupted(), out), KeyboardInterrupt, "é<\n"),
+            # the orbit's flow overflows: the JSON fails once its file is open
+            (
+                lambda out: write_json(iterate(0.25, TrafficParams(v0=2.585, kj=1e308), 5), out),
+                DomainError,
+                "",
+            ),
+        ],
+        ids=["interrupted", "overflowed"],
+    )
+    def test_a_failed_document_leaves_a_fifo_in_place(self, write, error, sent, tmp_path):
+        fifo = tmp_path / "doc"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        with pytest.raises(error):
+            write(fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive() and received == [sent]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_a_failed_document_leaves_a_symlink_in_place(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("kept")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        with pytest.raises(KeyboardInterrupt):
+            emit._write(self.interrupted(), link)
+        assert link.is_symlink() and target.is_file()
 
     def test_returns_the_utf8_byte_count(self, tmp_path):
         path = tmp_path / "doc.txt"

@@ -51,7 +51,7 @@ from greenberg_dynamics.emit import (
     write_svg,
 )
 from greenberg_dynamics.errors import DomainError
-from greenberg_dynamics.model import TrafficParams, TrafficState, diagram_samples
+from greenberg_dynamics.model import TrafficParams, TrafficState, _repeat_lap, diagram_samples
 
 INV_E = math.exp(-1.0)
 
@@ -110,8 +110,37 @@ def ref_sensitivity_rows(result):
     return "i,k_a,k_b,separation", rows
 
 
+def ref_scan_json(scan):
+    """The scan's JSON text, built from its fields: every sample of every point."""
+    grid = scan.v0_grid
+    document = {
+        "schema_version": "1",
+        "kind": "bifurcation-scan",
+        "settings": {
+            "v0_min": grid[0] if grid else None,
+            "v0_max": grid[-1] if grid else None,
+            "steps": len(grid),
+            **dataclasses.asdict(scan.settings),
+        },
+        "data": {
+            "v0": list(grid),
+            "k0": [scan.settings.k0] * len(grid),
+            "detected_period": list(scan.detected_periods),
+            "escaped": list(scan.escaped),
+            **{
+                axis: [[getattr(s, axis) for s in states] for states in scan.samples]
+                for axis in "kqv"
+            },
+        },
+    }
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
 def ref_csv(rows_of, payload):
+    """The CSV text, or DomainError if a field is a NaN or an infinity."""
     header, rows = rows_of(payload)
+    if {"nan", "inf", "-inf"}.intersection(",".join(rows).split(",")):
+        return DomainError
     out = io.StringIO()
     out.write(header + "\n")
     for row in rows:
@@ -169,8 +198,22 @@ def ref_render_bifurcation(spec, scan):
 
 
 def csv_text(payload):
+    """write_csv's text of the payload, or DomainError if it raises that."""
     out = io.StringIO()
-    write_csv(payload, out)
+    try:
+        write_csv(payload, out)
+    except DomainError:
+        return DomainError
+    return out.getvalue()
+
+
+def scan_json_text(scan):
+    """write_json's text of the scan, or DomainError if it raises that."""
+    out = io.StringIO()
+    try:
+        write_json(scan, out)
+    except DomainError:
+        return DomainError
     return out.getvalue()
 
 
@@ -200,33 +243,60 @@ repeated_floats = st.lists(
 
 
 @st.composite
-def lapped_values(draw):
-    """A _Values list whose items from start + length on repeat its lap, or with no lap."""
-    items = finite_floats | st.sampled_from([0.0, -0.0, 1, True])
+def lapped_lists(draw, items=finite_floats | st.sampled_from([0.0, -0.0, 1, True])):
+    """(values, lap): items whose from start + length on repeat their lap, or None."""
     head = draw(st.lists(items, min_size=1, max_size=6))
     start = draw(st.integers(0, len(head) - 1))
     values = head + (head[start:] * 5)[: draw(st.integers(0, 12))]
-    return emit._Values(values, draw(st.sampled_from([(start, len(head) - start), None])))
+    return values, draw(st.sampled_from([(start, len(head) - start), None]))
 
 
-def lazy(items):
-    """The items as a JSON array built an element at a time, as a scan's sample arrays are."""
-    return emit._Lazy(items, lambda item: item)
+def lapped_values():
+    """A _Values list, with its lap or none."""
+    return lapped_lists().map(lambda case: emit._Values(*case))
+
+
+@given(
+    lapped_lists(st.text(max_size=3)),
+    st.integers(0, 30),
+    st.sampled_from(["", ",", ",\n    ", "\n"]),
+)
+@example((["a", "b", "c"], (1, 2)), 2, ",")  # a window that ends inside the first lap
+def test_join_lap_joins_what_the_item_repeat_gives(case, size, sep):
+    values, lap = case
+    values = values[:size]  # a window that may end before the lap does
+    head = values[:sum(lap)] if lap else values
+    assert emit._join_lap(sep, head, len(values), lap) == sep.join(_repeat_lap(list, values, lap))
+
+
+def arrays(rows):
+    """Lapped rows as one JSON array built a row at a time, as a scan's sample arrays are."""
+    return emit._Arrays([values for values, _ in rows], [lap for _, lap in rows], lambda x: x)
+
+
+# rows of numbers, as a scan's, some holding a string too, and rows with no value
+array_rows = st.lists(
+    lapped_lists() | lapped_lists(scalars) | st.just(([], None)), max_size=4
+).map(arrays)
 
 
 documents = st.recursive(
-    scalars | unrepeated_floats | repeated_floats | lapped_values(),
+    scalars | unrepeated_floats | repeated_floats | lapped_values() | array_rows,
     lambda children: st.lists(children, max_size=6)
     | st.lists(children, max_size=6).map(tuple)
-    | st.lists(children, max_size=6).map(lazy)
     | st.dictionaries(texts, children, max_size=6),
     max_leaves=40,
 )
 
 
+def every_row(obj):
+    """An _Arrays as a list of lists, each holding every value of its row."""
+    return [list(map(obj.get, row)) for row in obj.rows]
+
+
 def dumps(doc):
-    """The reference text: json's, with each lazy array materialized as a list."""
-    return json.dumps(doc, indent=2, allow_nan=False, default=list)
+    """The reference text: json's, with each _Arrays materialized as a list of lists."""
+    return json.dumps(doc, indent=2, allow_nan=False, default=every_row)
 
 
 @pytest.mark.thorough
@@ -235,7 +305,8 @@ def dumps(doc):
 @example({"a": [1.0, 1.0], "b": [[1, True, 1.0], [1.0, 1]]})  # equal numbers of three types
 @example([[0.25, 0.25], [0.5, 0.25], [0.5, -0.0, 0.0]])  # floats that recur across arrays
 @example(emit._Values([0.5, -0.0, 0.25, -0.0, 0.25, -0.0], (1, 2)))  # a lap with a -0.0
-@example(lazy([]))  # a lazy array with no element
+@example(arrays([]))  # an _Arrays with no row
+@example(arrays([([0.5, 0.25, 0.5, 0.25, 0.5], (0, 2)), ([], None), (["a, b", 1.5], None)]))
 def test_json_text_matches_indented_dumps(doc):
     assert json_text(doc) == dumps(doc)
 
@@ -309,6 +380,16 @@ def test_scan_csv_matches_reference(scan):
 
 
 @settings(max_examples=60, deadline=None)
+@given(scans())
+def test_scan_json_matches_reference_with_and_without_laps(scan):
+    try:
+        expected = ref_scan_json(scan)
+    except ValueError:  # a NaN or infinity, such as a flow that overflowed
+        expected = DomainError
+    assert scan_json_text(scan) == scan_json_text(dataclasses.replace(scan, laps=())) == expected
+
+
+@settings(max_examples=60, deadline=None)
 @given(scans(), st.sampled_from("kqv"))
 # every column is empty: the clip group still holds its empty line
 @example(bifurcation_scan(math.e, math.e, 1, k0=INV_E, n_total=3, n_keep=2), "k")
@@ -326,10 +407,12 @@ def test_scans_with_escapes_and_periods_match_reference():
     partial = bifurcation_scan(0.0005, 0.0012, 3, k0=1e-300, n_total=60, n_keep=40)
     assert partial.escaped == (True, True, False)
     assert [len(s) for s in partial.samples] == [0, 17, 40]
-    # the last sample of the middle point overflowed: JSON rejects it as before
+    # the last sample of the middle point overflowed: JSON rejects it as
+    # before, and CSV, which wrote "inf", now does too
     assert math.isinf(partial.samples[1][-1].q)
-    with pytest.raises(DomainError):
-        write_json(partial, io.StringIO())
+    for write in (write_json, write_csv):
+        with pytest.raises(DomainError, match="^bifurcation-scan document holds a non-finite"):
+            write(partial, io.StringIO())
     periodic = bifurcation_scan(2.25, 2.3, 2, n_total=200, n_keep=20)
     assert periodic.detected_periods == (2, 2)
     # a tail of whole laps, and a tail whose lap starts inside the window
@@ -340,6 +423,9 @@ def test_scans_with_escapes_and_periods_match_reference():
     unlapped = [dataclasses.replace(scan, laps=()) for scan in (periodic, inside)]
     for scan in (escaped, partial, periodic, inside, *unlapped):
         assert csv_text(scan) == ref_csv(ref_scan_rows, scan)
+        assert scan_json_text(scan) == scan_json_text(dataclasses.replace(scan, laps=()))
+        if scan is not partial:
+            assert scan_json_text(scan) == ref_scan_json(scan)
         for y_field in "kqv":
             spec = PlotSpec(y_field=y_field)
             assert render_svg(spec, scan) == ref_render_bifurcation(spec, scan)
@@ -393,8 +479,9 @@ def test_orbit_csv_and_cobweb_match_reference(v0, k0, n):
     panel = emit._Panel(56.0, 44, 300.0, 260, (0.0, 1.0), (0.0, 3.0), "k", "v", "c")
     points = [(s.k, s.v) for s in orbit.states]
     panel.dots(points, emit._MARKER_COLOR)
+    # the dots are one element, a line each
     expected = [ref_dot(panel, x, y, emit._MARKER_COLOR, 2.0) for x, y in points]
-    assert panel.elements == expected
+    assert panel.elements == ["\n".join(expected)]
 
 
 @pytest.mark.parametrize("escaped", [None, 7])
@@ -490,7 +577,10 @@ def test_every_payload_json_matches_indented_dumps():
     ]:
         out = io.StringIO()
         count = write_json(payload, out)
-        expected = dumps(emit._document(payload)) + "\n"
+        if isinstance(payload, BifurcationScan):
+            expected = ref_scan_json(payload)
+        else:
+            expected = dumps(emit._document(payload)) + "\n"
         assert out.getvalue() == expected
         assert count == len(expected.encode("utf-8"))
 
@@ -611,7 +701,8 @@ def test_bulk_polyline_and_dots_match_per_point_mapping(box, limits, points, str
 
     def reference():
         line = ref_polyline(panel, points, "#123456", *stroke)
-        elements = line + [ref_dot(panel, x, y, "#654321", 2.4) for x, y in points]
+        dots = [ref_dot(panel, x, y, "#654321", 2.4) for x, y in points]
+        elements = line + (["\n".join(dots)] if dots else [])
         if y0 <= gy <= y1:
             yp = ref_py(panel, gy)
             elements.append(ref_guide(left, yp, left + width, yp, "#777777"))

@@ -1,0 +1,72 @@
+"""Print in-process times of each stage of the default bifurcation scan.
+
+    PYTHONPATH=src python tools/stage_times.py [REPEAT]
+
+Each row is the least of REPEAT runs (default 5), in milliseconds: the
+scan's compute (`bifurcation_scan` with the `bifurcation` command's
+defaults), its period search (the same `_period` calls the scan makes,
+recorded once and replayed), its CSV and JSON documents, and each of its
+two SVG plots. Every document is written to memory, so no row counts the
+disk. These are the rows of ROADMAP's "Where the time is" table; the
+script gates nothing.
+"""
+
+import functools
+import io
+import sys
+import time
+
+from greenberg_dynamics import analysis, emit
+
+
+def best_ms(repeat, run):
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
+
+
+def default_scan():
+    return analysis.bifurcation_scan(0.05, 2.7, 1000)
+
+
+def period_calls():
+    """The argument tuples of every `_period` call one default scan makes."""
+    calls = []
+    period = analysis._period
+
+    def record(*args):
+        calls.append(args)
+        return period(*args)
+
+    analysis._period = record
+    try:
+        default_scan()
+    finally:
+        analysis._period = period
+    return calls
+
+
+def main(repeat=5):
+    scan = default_scan()
+    calls = period_calls()
+    stages = [
+        ("default scan, compute", default_scan),
+        (f"its period search ({len(calls)} tails)", lambda: [analysis._period(*c) for c in calls]),
+        ("scan CSV", lambda: emit.write_csv(scan, io.StringIO())),
+        ("scan JSON", lambda: emit.write_json(scan, io.StringIO())),
+    ]
+    for field in "kv":
+        write = functools.partial(emit.write_svg, emit.PlotSpec(y_field=field), scan)
+        stages.append((f"{field} SVG", lambda write=write: write(io.StringIO())))
+    print(f"stage (best of {repeat})" + " " * 12 + "ms")
+    for name, run in stages:
+        print(f"{name:<32}{best_ms(repeat, run):8.1f}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 2 or sys.argv[1:] and not (sys.argv[1].isdigit() and int(sys.argv[1])):
+        sys.exit(__doc__)
+    main(*map(int, sys.argv[1:]))
