@@ -34,7 +34,10 @@ JSON text: the writer raises DomainError naming the document's kind.
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
 and ``write_svg`` dispatch through it and nothing else, so the payload type
-alone selects the plot, as it selects the CSV and JSON layout.
+alone selects the plot, as it selects the CSV and JSON layout. Every JSON
+document has one shape, the ``envelope``: json writes its settings, and its
+data maps each name to a number, bool or None, to an array of them, or to an
+``_Arrays``; anything else raises SpecError.
 """
 
 from __future__ import annotations
@@ -106,14 +109,11 @@ class _Arrays:
 
     Each row's lap, (start, length) as in ``Orbit.lap``, or None, says how
     its values repeat, so only the items up to the end of the lap are read.
-    A row's array is built when the walker reaches it.
+    A row's array is built when it is written (``_json_pieces``).
     """
 
     def __init__(self, rows: Sequence[Sequence], laps: Iterable, get: Callable):
         self.rows, self.laps, self.get = rows, laps, get
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 class _Values(list):
@@ -166,8 +166,8 @@ def _write(pieces, destination) -> int:
 
     A stream is written as is. A path's file gets "\\n" line ends on every
     platform. If building, writing or closing the document raises,
-    interrupts included, a regular file at the path is removed, so a failed
-    document leaves no file; a FIFO, a device or a symlink stays.
+    interrupts included, a regular file at the path or at its symlink's end
+    is removed, so a failed document leaves none; a FIFO, device or link stays.
     """
     if not hasattr(destination, "write"):
         out = open(destination, "w", encoding="utf-8", newline="")
@@ -175,8 +175,8 @@ def _write(pieces, destination) -> int:
             with out:
                 return _write(pieces, out)
         except BaseException:
-            path = Path(destination)
-            if not path.is_symlink() and path.is_file():
+            path = Path(destination).resolve()
+            if path.is_file():
                 path.unlink(missing_ok=True)
             raise
     size = 0
@@ -364,36 +364,58 @@ def _document(payload) -> dict:
 _JSON_SCALARS = {float, int, bool, type(None)}
 
 
-def _json_pieces(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=2, allow_nan=False)`` and a newline, in pieces.
+def _json_pieces(document: dict) -> Iterator[str]:
+    """The text of ``json.dumps(document, indent=2, allow_nan=False)`` and a newline, in pieces.
 
-    NaN and infinities raise DomainError, a ValueError as in json, possibly
-    after some pieces are yielded.
+    ``document`` is an ``envelope``; json writes all of it but its data.
+    Each data member is a number, bool or None, an array of them
+    (``_array_text``), or an ``_Arrays``, read and written a row and a piece
+    at a time; anything else raises SpecError. NaN and infinities raise
+    DomainError, a ValueError as in json, possibly after some pieces are
+    yielded.
     """
-    parts: list[str] = []
-    yield from _json_parts(obj, 0, parts)
-    parts.append("\n")
+    # json's text of the document with no data ends in its "{}\n}".
+    parts = [_dumps({**document, "data": {}}, indent=2)[:-4], "{"]
+    data, sep = document["data"], "\n    "
+    for name, value in data.items():
+        parts += (sep, json.dumps(name), ": ")
+        sep = ",\n    "
+        if isinstance(value, _Arrays):
+            row_sep, get = "[\n      ", value.get
+            for row, lap in zip(value.rows, value.laps):
+                head = row[:sum(lap)] if lap else row
+                text = _array_text(list(map(get, head)), len(row), lap, 3)
+                yield "".join([*parts, row_sep, text])
+                parts, row_sep = [], ",\n      "
+            parts.append("\n    ]" if value.rows else "[]")
+        elif isinstance(value, (list, tuple)):
+            lap = value.lap if isinstance(value, _Values) else None
+            parts.append(_array_text(value[:sum(lap)] if lap else value, len(value), lap, 2))
+        elif type(value) in _JSON_SCALARS:
+            parts.append(_dumps(value))
+        else:
+            raise SpecError(f"JSON data member {name!r} is a {type(value).__name__}")
+    parts.append("\n  }\n}\n" if data else "}\n}\n")
     yield "".join(parts)
 
 
-def _dumps(obj) -> str:
-    """json's text of a scalar or a list of scalars; NaN and infinities raise DomainError."""
+def _dumps(obj, indent: int | None = None) -> str:
+    """json's text of ``obj``; NaN and infinities raise DomainError."""
     try:
-        return json.dumps(obj, allow_nan=False)
+        return json.dumps(obj, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise DomainError("NaN and infinities have no JSON text") from exc
 
 
-def _array_text(values: Sequence, n: int, lap, depth: int) -> str | None:
-    """The text, ``depth`` deep, of n numbers, bools and Nones that repeat ``lap``, or None.
+def _array_text(values: Sequence, n: int, lap, depth: int) -> str:
+    """The text, ``depth`` deep, of n numbers, bools and Nones that repeat ``lap``.
 
     ``values`` holds them up to the end of the lap, or all n with no lap;
     their texts are joined by ``_join_lap``. Floats are formatted each, and
     since a float's text holds an "n" only in "nan" or "inf", one search of
     the joined text rejects NaN and infinities. Any other list goes to the
-    C encoder in one call (``_dumps``), which rejects them too; with no
-    string inside, every ", " of its text separates two values. None comes
-    back if a value is anything else, such as a string or a container.
+    C encoder in one call (``_dumps``), which rejects them too, and every
+    ", " of its text separates two values; any other item raises SpecError.
     """
     if not n:
         return "[]"
@@ -402,71 +424,13 @@ def _array_text(values: Sequence, n: int, lap, depth: int) -> str | None:
         texts = list(map(float.__repr__, values))
     except TypeError:
         if not set(map(type, values)) <= _JSON_SCALARS:
-            return None
+            raise SpecError("a JSON data array holds numbers, bools and None") from None
         body = _join_lap(sep, _dumps(values)[1:-1].split(", "), n, lap)
     else:
         body = _join_lap(sep, texts, n, lap)
         if "n" in body:
             raise DomainError("NaN and infinities have no JSON text")
     return "".join(("[", sep[1:], body, "\n", "  " * depth, "]"))
-
-
-def _json_parts(obj, depth: int, parts: list[str]) -> Iterator[str]:
-    """Append the text of ``obj`` nested ``depth`` deep to ``parts``, yielding pieces.
-
-    json ignores its C encoder once ``indent`` is set. Here dicts (with str
-    keys) and lists holding anything but numbers, bools and None are walked
-    in Python, and the text is joined once per piece, not copied at every
-    level. Every other list, and each row of an ``_Arrays``, is one text
-    (``_array_text``), formatted up to the end of a ``_Values`` list's or a
-    row's lap and repeated past it. An ``_Arrays`` reads a row only when it
-    is reached and yields the parts held so far as one piece after each row,
-    so a scan's document is a piece per grid point and axis, and any other
-    document one piece. A row holding anything but numbers, bools and None
-    is walked whole.
-    """
-    if isinstance(obj, (list, tuple)):
-        lap = obj.lap if isinstance(obj, _Values) else None
-        text = _array_text(obj[:sum(lap)] if lap else obj, len(obj), lap, depth)
-        if text is not None:
-            parts.append(text)
-            return
-    elif not isinstance(obj, (dict, _Arrays)):
-        parts.append(_dumps(obj))
-        return
-    if not obj:
-        parts.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = "\n" + "  " * (depth + 1)
-    sep = inner
-    if isinstance(obj, dict):
-        parts.append("{")
-        for key, value in obj.items():
-            parts += (sep, json.dumps(key), ": ")
-            yield from _json_parts(value, depth + 1, parts)
-            sep = "," + inner
-        parts.append("\n" + "  " * depth + "}")
-        return
-    parts.append("[")
-    if isinstance(obj, _Arrays):
-        get = obj.get
-        for row, lap in zip(obj.rows, obj.laps):
-            parts.append(sep)
-            head = row[:sum(lap)] if lap else row
-            text = _array_text(list(map(get, head)), len(row), lap, depth + 1)
-            if text is None:
-                yield from _json_parts(list(map(get, row)), depth + 1, parts)
-            else:
-                parts.append(text)
-            yield "".join(parts)
-            parts.clear()
-            sep = "," + inner
-    else:
-        for x in obj:
-            parts.append(sep)
-            yield from _json_parts(x, depth + 1, parts)
-            sep = "," + inner
-    parts.append("\n" + "  " * depth + "]")
 
 
 def write_json(payload, destination) -> int:

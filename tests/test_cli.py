@@ -567,10 +567,18 @@ class TestSharedParser:
 
 
 def test_every_traced_site_resolves():
-    # perfbench/tracing.py wraps these (module, attribute) bindings by name;
-    # it is read here, never written
-    sites = runpy.run_path(str(PERFBENCH / "tracing.py"))["SITES"]
+    # perfbench/tracing.py wraps these (module, attribute) bindings by name,
+    # and the benchmark's worker builds its Tracer from them on every run; the
+    # file is read here, never written
+    tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
+    sites = tracing["SITES"]
     assert sites
+    modules = {name: importlib.import_module(f"greenberg_dynamics.{name}") for name, *_ in sites}
+    bound = {}
     for module, attr, _, _ in sites:
-        target = importlib.import_module(f"greenberg_dynamics.{module}")
-        assert callable(getattr(target, attr, None)), f"{module}.{attr}"
+        bound[module, attr] = getattr(modules[module], attr, None)
+        assert callable(bound[module, attr]), f"{module}.{attr}"
+    tracer = tracing["Tracer"](modules)
+    tracer.install("guard")
+    tracer.uninstall()
+    assert {site: getattr(modules[site[0]], site[1]) for site in bound} == bound

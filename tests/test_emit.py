@@ -402,7 +402,8 @@ class TestWrite:
         link.symlink_to(target)
         with pytest.raises(KeyboardInterrupt):
             emit._write(self.interrupted(), link)
-        assert link.is_symlink() and target.is_file()
+        # the link stays; its target, which held the partial document, goes
+        assert link.is_symlink() and not target.exists()
 
     def test_returns_the_utf8_byte_count(self, tmp_path):
         path = tmp_path / "doc.txt"

@@ -50,7 +50,7 @@ from greenberg_dynamics.emit import (
     write_json,
     write_svg,
 )
-from greenberg_dynamics.errors import DomainError
+from greenberg_dynamics.errors import DomainError, SpecError
 from greenberg_dynamics.model import TrafficParams, TrafficState, _repeat_lap, diagram_samples
 
 INV_E = math.exp(-1.0)
@@ -217,10 +217,10 @@ def scan_json_text(scan):
     return out.getvalue()
 
 
-def json_text(obj):
-    """The streamed JSON text of any document, without its final newline."""
+def json_text(doc):
+    """The streamed JSON text of an envelope document, without its final newline."""
     out = io.StringIO()
-    size = emit._write(emit._json_pieces(obj), out)
+    size = emit._write(emit._json_pieces(doc), out)
     text = out.getvalue()
     assert size == len(text.encode("utf-8")) and text.endswith("\n")
     return text[:-1]
@@ -232,8 +232,8 @@ edge_floats = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
 )
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
-texts = st.text(max_size=8) | st.sampled_from(["a, b", ", ", "[1, 2]", "é, ü", "  \x00"])
-scalars = st.none() | st.booleans() | st.integers() | finite_floats | texts
+texts = st.text(max_size=8) | st.sampled_from(["a, b", ", ", "[1, 2]", "é, ü", "  \x00"])
+numbers = st.none() | st.booleans() | st.integers() | finite_floats
 # Floats that recur, 0.0 and -0.0 among them, which are equal but print
 # differently; a _Values list formats its lap's floats once and repeats them.
 unrepeated_floats = st.lists(finite_floats, unique=True, max_size=8)
@@ -274,19 +274,30 @@ def arrays(rows):
     return emit._Arrays([values for values, _ in rows], [lap for _, lap in rows], lambda x: x)
 
 
-# rows of numbers, as a scan's, some holding a string too, and rows with no value
+# rows of numbers, as a scan's, of one type or mixed, and rows with no value
 array_rows = st.lists(
-    lapped_lists() | lapped_lists(scalars) | st.just(([], None)), max_size=4
+    lapped_lists() | lapped_lists(numbers) | st.just(([], None)), max_size=4
 ).map(arrays)
 
-
-documents = st.recursive(
-    scalars | unrepeated_floats | repeated_floats | lapped_values() | array_rows,
-    lambda children: st.lists(children, max_size=6)
-    | st.lists(children, max_size=6).map(tuple)
-    | st.dictionaries(texts, children, max_size=6),
-    max_leaves=40,
+# what a data member may be: a number, bool or None, an array of them, or an _Arrays
+members = (
+    numbers
+    | unrepeated_floats
+    | repeated_floats
+    | st.lists(numbers, max_size=6)
+    | st.lists(numbers, max_size=6).map(tuple)
+    | lapped_values()
+    | array_rows
 )
+
+
+def envelopes(data=st.dictionaries(texts, members, max_size=6)):
+    """An envelope: a kind, settings of any JSON scalars, and data of members."""
+    return st.builds(emit.envelope, texts, st.dictionaries(texts, numbers | texts), data)
+
+
+def enveloped(data):
+    return emit.envelope("test", {"n": len(data)}, data)
 
 
 def every_row(obj):
@@ -300,27 +311,37 @@ def dumps(doc):
 
 
 @pytest.mark.thorough
-@given(documents)
-@example([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])  # equal floats that print differently
-@example({"a": [1.0, 1.0], "b": [[1, True, 1.0], [1.0, 1]]})  # equal numbers of three types
-@example([[0.25, 0.25], [0.5, 0.25], [0.5, -0.0, 0.0]])  # floats that recur across arrays
-@example(emit._Values([0.5, -0.0, 0.25, -0.0, 0.25, -0.0], (1, 2)))  # a lap with a -0.0
-@example(arrays([]))  # an _Arrays with no row
-@example(arrays([([0.5, 0.25, 0.5, 0.25, 0.5], (0, 2)), ([], None), (["a, b", 1.5], None)]))
+@given(envelopes())
+# equal floats that print differently
+@example(enveloped({"a": [0.0, -0.0, 0.0, 1.5, -0.0, 1.5]}))
+# equal numbers of three types
+@example(enveloped({"a": [1.0, 1.0], "b": [1, True, 1.0], "c": arrays([([1.0, 1], None)])}))
+# floats that recur across arrays
+@example(enveloped({"a": [0.25, 0.25], "b": [0.5, 0.25], "c": arrays([([0.5, -0.0, 0.0], None)])}))
+# a lap with a -0.0
+@example(enveloped({"a": emit._Values([0.5, -0.0, 0.25, -0.0, 0.25, -0.0], (1, 2))}))
+@example(enveloped({"a": arrays([])}))  # an _Arrays with no row
+# a lapped row, an empty one and one of mixed types
+@example(
+    enveloped(
+        {"a": arrays([([0.5, 0.25, 0.5, 0.25, 0.5], (0, 2)), ([], None), ([1, True, 1.5], None)])}
+    )
+)
+@example(enveloped({}))  # no data
 def test_json_text_matches_indented_dumps(doc):
     assert json_text(doc) == dumps(doc)
 
 
 @given(
-    documents,
+    envelopes(),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.sampled_from(
         [
-            lambda doc, bad: bad,
-            lambda doc, bad: [doc, bad],
-            lambda doc, bad: [1.0, bad, 2],
-            lambda doc, bad: {"a": doc, "b": [[0.5], [bad]]},
-            lambda doc, bad: {"a": ["x", {"c": bad}], "b": doc},
+            lambda doc, bad: {**doc, "settings": {**doc["settings"], "x": bad}},
+            lambda doc, bad: {**doc, "data": {**doc["data"], "x": bad}},
+            lambda doc, bad: {**doc, "data": {**doc["data"], "x": [1.0, bad, 2.0]}},
+            lambda doc, bad: {**doc, "data": {**doc["data"], "x": (1, bad, None)}},
+            lambda doc, bad: {**doc, "data": {"x": arrays([([0.5], None), ([bad], None)])}},
         ]
     ),
 )
@@ -332,8 +353,26 @@ def test_json_text_rejects_non_finite_floats(doc, bad, place):
         json_text(wrapped)
 
 
+@pytest.mark.parametrize(
+    "member",
+    [
+        "text",
+        {"a": 1},
+        [0.5, "text"],
+        [[0.5]],
+        (0.5, {"a": 1}),
+        arrays([([0.5], None), (["text"], None)]),
+        arrays([([[0.5]], None)]),
+    ],
+    ids=["string", "dict", "string-item", "list-item", "dict-item", "string-row", "list-row"],
+)
+def test_json_data_beyond_the_envelope_raises_spec_error(member):
+    with pytest.raises(SpecError):
+        json_text(enveloped({"k": [0.5], "x": member}))
+
+
 def test_json_byte_count_is_the_encoded_length():
-    doc_with_non_ascii = {"é, ü": [" ", 1.5, None]}
+    doc_with_non_ascii = emit.envelope("é", {"é, ü": "\u2028"}, {"é, ü": [1.5, None]})
     text = json_text(doc_with_non_ascii)
     assert len(text.encode("utf-8")) == len(text)
 

@@ -6,9 +6,12 @@ Each row is the least of REPEAT runs (default 5), in milliseconds: the
 scan's compute (`bifurcation_scan` with the `bifurcation` command's
 defaults), its period search (the same `_period` calls the scan makes,
 recorded once and replayed), its CSV and JSON documents, and each of its
-two SVG plots. Every document is written to memory, so no row counts the
-disk. These are the rows of ROADMAP's "Where the time is" table; the
-script gates nothing.
+two SVG plots. Then the small documents of one chaotic orbit, as the
+`orbit`, `cobweb` and `sensitivity` commands write them at v0 2.6, k0 0.3
+and their default n of 300: the orbit's JSON, its cobweb SVG and the
+sensitivity run's SVG. Every document is written to memory, so no row
+counts the disk. These are the rows of ROADMAP's "Where the time is"
+table; the script gates nothing.
 """
 
 import functools
@@ -16,7 +19,8 @@ import io
 import sys
 import time
 
-from greenberg_dynamics import analysis, emit
+from greenberg_dynamics import analysis, dynamics, emit
+from greenberg_dynamics.model import TrafficParams
 
 
 def best_ms(repeat, run):
@@ -61,9 +65,17 @@ def main(repeat=5):
     for field in "kv":
         write = functools.partial(emit.write_svg, emit.PlotSpec(y_field=field), scan)
         stages.append((f"{field} SVG", lambda write=write: write(io.StringIO())))
+    params = TrafficParams(v0=2.6)
+    orbit = dynamics.iterate(0.3, params, dynamics.DEFAULT_ITERATIONS)
+    result = dynamics.sensitivity_experiment(0.3, dynamics.DEFAULT_SENSITIVITY_DELTA, params)
+    stages += [
+        ("orbit JSON", lambda: emit.write_json(orbit, io.StringIO())),
+        ("cobweb SVG", lambda: emit.write_svg(emit.PlotSpec(), orbit, io.StringIO())),
+        ("sensitivity SVG", lambda: emit.write_svg(emit.PlotSpec(), result, io.StringIO())),
+    ]
     print(f"stage (best of {repeat})" + " " * 12 + "ms")
     for name, run in stages:
-        print(f"{name:<32}{best_ms(repeat, run):8.1f}")
+        print(f"{name:<32}{best_ms(repeat, run):8.2f}")
 
 
 if __name__ == "__main__":
