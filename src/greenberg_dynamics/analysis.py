@@ -69,8 +69,8 @@ class ScanSettings:
 class BifurcationScan:
     """Attractor samples, detected periods and laps (``Orbit.lap``) over a v0 grid.
 
-    A lap counts from its point's first kept sample. A scan built by hand
-    may leave ``laps`` empty; each sample is then emitted on its own.
+    A lap counts from its point's first kept sample; a point whose lap is
+    None, as in a scan built by hand, has each sample emitted on its own.
     """
 
     v0_grid: tuple[float, ...]
@@ -78,7 +78,7 @@ class BifurcationScan:
     detected_periods: tuple[int | None, ...]
     escaped: tuple[bool, ...]
     settings: ScanSettings
-    laps: tuple[tuple[int, int] | None, ...] = ()
+    laps: tuple[tuple[int, int] | None, ...]
 
 
 @dataclass(frozen=True)

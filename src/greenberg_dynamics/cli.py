@@ -159,32 +159,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args: argparse.Namespace, payload, stem: str, svgs=()) -> list[str]:
+def _write(args: argparse.Namespace, payload, svgs=()) -> list[str]:
     """Write the payload in the formats --format asks for, under --out.
 
-    Files are named ``<prefix><stem>.csv``, ``.json`` and, for each
-    (suffix, PlotSpec) in ``svgs``, ``<prefix><stem><suffix>.svg``.
+    Files are named ``<prefix><command>.csv``, ``.json`` and, for each
+    (suffix, PlotSpec) in ``svgs``, ``<prefix><command><suffix>.svg``.
     Returns the paths written, in order, and prints them once all are
-    written. Each path is listed before its writer runs, so if a writer
-    raises, every file of the payload is removed, the partial one included.
+    written. A path is listed once its writer returns, so if a writer
+    raises, the documents before it are discarded too (``emit._discard``).
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats = args.formats if args.fmt == "all" else (args.fmt,)
-    base = f"{args.prefix}{stem}"
+    base = f"{args.prefix}{args.command}"
     written: list[Path] = []
     try:
         for fmt, writer in (("csv", emit.write_csv), ("json", emit.write_json)):
             if fmt in formats:
-                written.append(out / f"{base}.{fmt}")
-                writer(payload, written[-1])
+                writer(payload, path := out / f"{base}.{fmt}")
+                written.append(path)
         if "svg" in formats:
             for suffix, spec in svgs:
-                written.append(out / f"{base}{suffix}.svg")
-                emit.write_svg(spec, payload, written[-1])
+                emit.write_svg(spec, payload, path := out / f"{base}{suffix}.svg")
+                written.append(path)
     except BaseException:
         for path in written:
-            path.unlink(missing_ok=True)
+            emit._discard(path)
         raise
     for path in written:
         print(f"wrote {path}")
@@ -214,7 +214,7 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[list[str], dict]:
     p = TrafficParams(v0=args.v0, kj=args.kj)
     payload = emit.DiagramPayload(params=p, samples=tuple(diagram_samples(p, args.n)))
     spec = emit.PlotSpec(title=f"Greenberg diagrams, v0={p.v0:g}")
-    return _write(args, payload, "diagram", [("", spec)]), settings
+    return _write(args, payload, [("", spec)]), settings
 
 
 def _orbit(args: argparse.Namespace) -> tuple[Orbit, dict]:
@@ -231,13 +231,13 @@ def _cmd_orbit(args: argparse.Namespace) -> tuple[list[str], dict]:
         f"final state: i={len(orbit.states) - 1} k={final.k:.6g} "
         f"q={final.q:.6g} v={final.v:.6g}"
     )
-    return _write(args, orbit, "orbit"), settings
+    return _write(args, orbit), settings
 
 
 def _cmd_cobweb(args: argparse.Namespace) -> tuple[list[str], dict]:
     orbit, settings = _orbit(args)
     title = f"Iteration on the Greenberg diagrams, v0={args.v0:g}, k0={args.k0:g}"
-    return _write(args, orbit, "cobweb", [("", emit.PlotSpec(title=title))]), settings
+    return _write(args, orbit, [("", emit.PlotSpec(title=title))]), settings
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[list[str], dict]:
@@ -266,7 +266,7 @@ def _cmd_bifurcation(args: argparse.Namespace) -> tuple[list[str], dict]:
         (f"_{field}", emit.PlotSpec(title=f"{field} vs v0 bifurcation diagram", y_field=field))
         for field in ("k", "v")
     ]
-    return _write(args, scan, "bifurcation", svgs), settings
+    return _write(args, scan, svgs), settings
 
 
 def _cmd_lyapunov(args: argparse.Namespace) -> tuple[list[str], dict]:
@@ -280,7 +280,7 @@ def _cmd_lyapunov(args: argparse.Namespace) -> tuple[list[str], dict]:
             file=sys.stderr,
         )
     spec = emit.PlotSpec(title="Lyapunov exponent vs v0")
-    return _write(args, curve, "lyapunov", [("", spec)]), settings
+    return _write(args, curve, [("", spec)]), settings
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> tuple[list[str], dict]:
@@ -297,7 +297,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> tuple[list[str], dict]:
             f"{result.first_divergence_index}"
         )
     title = f"Nearby orbits, v0={p.v0:g}, k0={args.k0:g}, delta={args.delta:g}"
-    return _write(args, result, "sensitivity", [("", emit.PlotSpec(title=title))]), settings
+    return _write(args, result, [("", emit.PlotSpec(title=title))]), settings
 
 
 def _cmd_repro(args: argparse.Namespace) -> tuple[list[str], dict]:

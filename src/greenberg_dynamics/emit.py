@@ -29,7 +29,8 @@ one table of sample indexes per scan; one %-format per point of every other
 polyline (the diagram curves and the traces against v0 or the iteration),
 each point list mapped to pixels in one pass (``_Panel.pixels``); and json's
 C encoder for every other array of numbers. A NaN or infinity has no CSV or
-JSON text: the writer raises DomainError naming the document's kind.
+JSON text: the writer raises DomainError naming the document's kind, and a
+failed document leaves no regular file (``_discard``).
 
 Each payload type has one entry in ``_SCHEMAS``: its JSON kind, CSV header
 and rows, settings, JSON data and SVG panels. ``write_csv``, ``write_json``
@@ -46,7 +47,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -129,20 +130,9 @@ class _Values(list):
         self.lap = lap
 
 
-def _finite(texts: list[str]) -> list[str]:
-    """CSV texts of %g and %d fields, as given; a NaN or infinity among them raises DomainError.
-
-    Such a text holds an "n" only in "nan" or "inf", so one search of the
-    joined texts finds them.
-    """
-    if "n" in "".join(texts):
-        raise DomainError("NaN and infinities have no CSV text")
-    return texts
-
-
 def _kqv_texts(states: Sequence[TrafficState]) -> list[str]:
     """The "k,q,v" CSV fields of each state."""
-    return _finite(list(map("%.17g,%.17g,%.17g".__mod__, map(attrgetter("k", "q", "v"), states))))
+    return list(map("%.17g,%.17g,%.17g".__mod__, map(attrgetter("k", "q", "v"), states)))
 
 
 def _join_lap(sep: str, texts: Sequence[str], n: int, lap: tuple[int, int] | None) -> str:
@@ -161,13 +151,20 @@ def _join_lap(sep: str, texts: Sequence[str], n: int, lap: tuple[int, int] | Non
     return sep.join([*texts[:start], laps_text, *texts[start:start + rest]])
 
 
+def _discard(path) -> None:
+    """Remove the regular file at the path or its symlink's end; a FIFO, device or link stays."""
+    path = Path(path).resolve()
+    if path.is_file():
+        path.unlink(missing_ok=True)
+
+
 def _write(pieces, destination) -> int:
     """Write each text piece to the destination; returns the UTF-8 byte count.
 
     A stream is written as is. A path's file gets "\\n" line ends on every
     platform. If building, writing or closing the document raises,
-    interrupts included, a regular file at the path or at its symlink's end
-    is removed, so a failed document leaves none; a FIFO, device or link stays.
+    interrupts included, the file is discarded (``_discard``), so a failed
+    document leaves no regular file; a stream keeps what was written to it.
     """
     if not hasattr(destination, "write"):
         out = open(destination, "w", encoding="utf-8", newline="")
@@ -175,9 +172,7 @@ def _write(pieces, destination) -> int:
             with out:
                 return _write(pieces, out)
         except BaseException:
-            path = Path(destination).resolve()
-            if path.is_file():
-                path.unlink(missing_ok=True)
+            _discard(destination)
             raise
     size = 0
     for piece in pieces:
@@ -239,7 +234,7 @@ def _scan_rows(scan: BifurcationScan) -> Iterator[list[str]]:
     its lap, and the period and the next row's v0.
     """
     indexes = list(map("%d,".__mod__, range(max(map(len, scan.samples), default=0))))
-    points = zip(scan.v0_grid, scan.samples, scan.detected_periods, scan.laps or repeat(None))
+    points = zip(scan.v0_grid, scan.samples, scan.detected_periods, scan.laps)
     for v0, states, period, lap in points:
         if not states:
             yield []
@@ -255,24 +250,23 @@ def _scan_rows(scan: BifurcationScan) -> Iterator[list[str]]:
 
 
 def _scan_data(scan: BifurcationScan) -> dict:
-    laps = scan.laps or repeat(None)
     return {
         "v0": scan.v0_grid,
         "k0": [scan.settings.k0] * len(scan.v0_grid),
         "detected_period": scan.detected_periods,
         "escaped": scan.escaped,
-        **{axis: _Arrays(scan.samples, laps, attrgetter(axis)) for axis in "kqv"},
+        **{axis: _Arrays(scan.samples, scan.laps, attrgetter(axis)) for axis in "kqv"},
     }
 
 
 def _curve_rows(curve: LyapunovCurve) -> list[list[str]]:
     rows = zip(curve.v0_grid, curve.lambdas, curve.n_terms, curve.skipped_terms)
-    return [_finite([
+    return [[
         "%.17g,,%d,%d\n" % (v0, terms, skipped)
         if lam is None
         else "%.17g,%.17g,%d,%d\n" % (v0, lam, terms, skipped)
         for v0, lam, terms, skipped in rows
-    ])]
+    ]]
 
 
 def _curve_data(curve: LyapunovCurve) -> dict:
@@ -294,9 +288,7 @@ def _sensitivity_rows(result: SensitivityResult) -> list[list[str]]:
     a, b, k = result.orbit_a.states, result.orbit_b.states, attrgetter("k")
     triples = list(zip(map(k, a), map(k, b), result.separation))
     fmt = "%.17g,%.17g,%.17g".__mod__
-    fields = _repeat_lap(
-        lambda head: _finite(list(map(fmt, head))), triples, _separation_lap(result)
-    )
+    fields = _repeat_lap(lambda head: list(map(fmt, head)), triples, _separation_lap(result))
     return [list(map("%d,%s\n".__mod__, enumerate(fields)))]
 
 
@@ -334,16 +326,20 @@ def write_csv(payload, destination) -> int:
 
     The header is the first piece, then each piece of rows goes out in one
     write: a scan has one piece per grid point, the other payloads one piece.
-    A NaN or infinity, such as a flow that overflowed, raises DomainError;
-    the file at a path destination is then removed, while a stream keeps
-    the text written before it.
+    A NaN or infinity, such as a flow that overflowed, raises DomainError
+    once the file is open, as in ``write_json``; the file at a path
+    destination is then discarded, while a stream keeps the text written
+    before it.
     """
     schema = _schema_of(payload, "CSV")
-    try:
-        pieces = chain([schema.header + "\n"], map("".join, schema.rows(payload)))
-        return _write(pieces, destination)
-    except DomainError as exc:
-        raise DomainError(f"{schema.kind} document holds a non-finite number") from exc
+
+    def finite(rows: list[str]) -> str:
+        piece = "".join(rows)
+        if "n" in piece:  # a %g or %d field holds an "n" only in "nan" or "inf"
+            raise DomainError(f"{schema.kind} document holds a non-finite number")
+        return piece
+
+    return _write(chain([schema.header + "\n"], map(finite, schema.rows(payload))), destination)
 
 
 def envelope(kind: str, settings: dict, data: dict) -> dict:
@@ -437,7 +433,7 @@ def write_json(payload, destination) -> int:
     """Write one JSON document for the payload; returns the byte count.
 
     A NaN or infinity, such as a flow that overflowed, raises DomainError;
-    the file at a path destination is then removed, while a stream keeps
+    the file at a path destination is then discarded, while a stream keeps
     the text written before it.
     """
     document = _document(payload)
@@ -460,7 +456,9 @@ def _auto_range(values: Sequence[float], pad: float = 0.05) -> tuple[float, floa
     if not finite:
         return (0.0, 1.0)
     lo, hi = min(finite), max(finite)
-    slack = max(0.5, abs(hi) * 0.1) if hi - lo < 1e-12 else (hi - lo) * pad
+    # a range narrow for its magnitude is padded by a tenth of it, or 0.5 if that is 0
+    wide = hi - lo > 1e-12 * max(abs(lo), abs(hi))
+    slack = (hi - lo) * pad if wide else abs(hi) * 0.1 or 0.5
     return (lo - slack, hi + slack)
 
 
@@ -665,12 +663,11 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     if spec.y_field not in ("k", "q", "v"):
         raise SpecError(f"bifurcation y_field must be k, q or v, got {spec.y_field!r}")
     ordinate = attrgetter(spec.y_field)
-    laps = scan.laps or repeat(None)
 
     def extremes():
         # the range needs only the least and the greatest finite ordinate,
         # which a point's first lap already holds
-        for states, lap in zip(scan.samples, laps):
+        for states, lap in zip(scan.samples, scan.laps):
             head = states[:sum(lap)] if lap else states
             finite = list(filter(math.isfinite, map(ordinate, head)))
             if finite:
@@ -681,7 +678,7 @@ def _bifurcation_panels(spec: PlotSpec, scan: BifurcationScan) -> list[_Panel]:
     y_lim = _auto_range(list(extremes()))
     [panel] = _layout((x_lim, y_lim, "optimum velocity v0", spec.y_field))
     panel.vline(2.0, _PATH_COLOR)
-    panel.columns(scan.v0_grid, scan.samples, laps, ordinate, _CURVE_COLOR, radius=0.7)
+    panel.columns(scan.v0_grid, scan.samples, scan.laps, ordinate, _CURVE_COLOR, radius=0.7)
     return [panel]
 
 

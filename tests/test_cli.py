@@ -7,6 +7,8 @@ import importlib
 import json
 import os
 import runpy
+import stat
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -213,6 +215,59 @@ class TestOverflowExits3:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: cannot draw")
         assert not (tmp_path / "diagram.svg").exists()
+
+
+class TestAFailedRunLeaves:
+    """A failed command discards the regular files it wrote, and nothing else."""
+
+    # the flow overflows: the JSON fails once its file is open
+    OVERFLOWED = ("orbit", "--v0", "2.585", "--kj", "1e308", "--k0", "1e307", "--format", "json")
+
+    def test_a_symlink_at_the_failed_document(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("kept")
+        link = tmp_path / "out" / "orbit.json"
+        link.parent.mkdir()
+        link.symlink_to(target)
+        assert run_cli(*self.OVERFLOWED, "--out", str(link.parent)) == 3
+        # the link stays; its target, which held the partial document, goes
+        assert link.is_symlink() and not target.exists()
+
+    def test_a_fifo_at_the_failed_document(self, tmp_path):
+        fifo = tmp_path / "orbit.json"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run_cli(*self.OVERFLOWED, "--out", str(tmp_path)) == 3
+        reader.join(timeout=10)
+        assert not reader.is_alive() and received == [""]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_a_file_the_run_never_opened(self, tmp_path):
+        # the plot's axis overflows before its file is opened
+        earlier = tmp_path / "diagram.svg"
+        earlier.write_text("an earlier run's plot")
+        code = run_cli("diagram", "--v0", "1e308", "--format", "svg", "--out", str(tmp_path))
+        assert code == 3
+        assert earlier.read_text() == "an earlier run's plot"
+
+    def test_a_failed_second_document_discards_the_first(self, tmp_path, monkeypatch, capsys):
+        # the disk fills up at the JSON's first write, after the CSV is complete
+        def open_full_for_json(file, *args, **kwargs):
+            out = open(file, *args, **kwargs)
+            if str(file).endswith(".json"):
+                def write(text):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                out.write = write
+            return out
+
+        monkeypatch.setattr(emit, "open", open_full_for_json, raising=False)
+        assert run_cli("orbit", "--v0", "2.6", "--out", str(tmp_path)) == 4
+        out, err = capsys.readouterr()
+        assert err.startswith("i/o error: ") and "wrote" not in out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBifurcationCommand:

@@ -127,6 +127,7 @@ class TestWriteCsv:
             detected_periods=(),
             escaped=(),
             settings=ScanSettings(0.25, 300, 60, 1e-6),
+            laps=(),
         )
         path = tmp_path / "empty.csv"
         assert write_csv(empty, path) == path.stat().st_size
@@ -317,6 +318,16 @@ class TestRenderSvg:
         # repro draws neither plot, so its sha256 table does not hold these bytes
         doc = render_svg(PlotSpec(), payload)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+    def test_a_cobweb_at_a_tiny_jam_density_is_the_same_drawing(self):
+        # k, q and the jam density scale by an exact power of two; the flow
+        # axis spans about 1e-19 there, which is no reason to collapse it
+        def geometry(kj):
+            doc = render_svg(PlotSpec(), iterate(0.23 * kj, TrafficParams(v0=2.48, kj=kj), 300))
+            # the tick labels and <desc> print the scaled values
+            return [line for line in doc.splitlines() if not line.startswith(("<text", "<desc"))]
+
+        assert geometry(2.0**-60) == geometry(1.0)
 
     def test_title_is_escaped(self, diagram):
         doc = render_svg(PlotSpec(title="flow < 1 & q"), diagram)

@@ -1,4 +1,4 @@
-"""Print in-process times of each stage of the default bifurcation scan.
+"""Print in-process times of the stages of the default scan and curve and of small documents.
 
     PYTHONPATH=src python tools/stage_times.py [REPEAT]
 
@@ -6,7 +6,9 @@ Each row is the least of REPEAT runs (default 5), in milliseconds: the
 scan's compute (`bifurcation_scan` with the `bifurcation` command's
 defaults), its period search (the same `_period` calls the scan makes,
 recorded once and replayed), its CSV and JSON documents, and each of its
-two SVG plots. Then the small documents of one chaotic orbit, as the
+two SVG plots. Then the default Lyapunov curve (`lyapunov_curve` with the
+`lyapunov` command's defaults): its compute, its CSV, its JSON and its SVG
+plot. Then the small documents of one chaotic orbit, as the
 `orbit`, `cobweb` and `sensitivity` commands write them at v0 2.6, k0 0.3
 and their default n of 300: the orbit's JSON, its cobweb SVG and the
 sensitivity run's SVG. Every document is written to memory, so no row
@@ -34,6 +36,10 @@ def best_ms(repeat, run):
 
 def default_scan():
     return analysis.bifurcation_scan(0.05, 2.7, 1000)
+
+
+def default_curve():
+    return analysis.lyapunov_curve(0.05, 2.7, 200)
 
 
 def period_calls():
@@ -65,6 +71,13 @@ def main(repeat=5):
     for field in "kv":
         write = functools.partial(emit.write_svg, emit.PlotSpec(y_field=field), scan)
         stages.append((f"{field} SVG", lambda write=write: write(io.StringIO())))
+    curve = default_curve()
+    stages += [
+        ("default Lyapunov curve, compute", default_curve),
+        ("curve CSV", lambda: emit.write_csv(curve, io.StringIO())),
+        ("curve JSON", lambda: emit.write_json(curve, io.StringIO())),
+        ("curve SVG", lambda: emit.write_svg(emit.PlotSpec(), curve, io.StringIO())),
+    ]
     params = TrafficParams(v0=2.6)
     orbit = dynamics.iterate(0.3, params, dynamics.DEFAULT_ITERATIONS)
     result = dynamics.sensitivity_experiment(0.3, dynamics.DEFAULT_SENSITIVITY_DELTA, params)
